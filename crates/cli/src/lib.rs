@@ -591,7 +591,6 @@ pub fn run<W: std::io::Write>(command: &str, args: &Args, out: &mut W) -> Result
                 report.residual
             )
             .map_err(io)?;
-            writeln!(out, "kernel           : {}", report.kernel).map_err(io)?;
             for w in &report.warnings {
                 writeln!(out, "solver warning   : {w}").map_err(io)?;
             }

@@ -16,14 +16,9 @@
 //!    of `performa_sim::replicate`) and collect results **in index
 //!    order**, so the output is deterministic regardless of thread
 //!    count.
-//! 3. Two caching layers cut redundant work: a **modulator cache**
-//!    shares the lumped MMPP service process between points whose
-//!    failure/repair side is identical (every λ/ρ sweep), and
-//!    **neighbor warm-starting** seeds each worker's next `G` solve
-//!    with its previous converged `G`
-//!    ([`performa_qbd::SolveOptions::initial_g`]), falling back to a
-//!    cold solve whenever the seeded iteration does not converge or
-//!    its residual is not acceptable.
+//! 3. A **modulator cache** shares the lumped MMPP service process
+//!    between points whose failure/repair side is identical (every λ/ρ
+//!    sweep), so it is built once per group instead of once per point.
 //!
 //! # Determinism
 //!
@@ -31,10 +26,7 @@
 //! the serial loop `for x { model_at(x).solve() }`: each point is an
 //! independent plain [`ClusterModel::solve`] (the cached modulator is
 //! built by the same deterministic construction it replaces), and
-//! results are stored by index. Warm-starting (`warm_start: true`)
-//! trades bit-identity for speed: accepted seeds converge to the same
-//! `G` only up to the acceptance residual (see
-//! [`SweepOptions::warm_start`]).
+//! results are stored by index.
 //!
 //! # Example
 //!
@@ -76,13 +68,6 @@ use crate::ctrl::{CancelToken, RunBudget};
 use crate::model::ClusterModel;
 use crate::solution::ClusterSolution;
 use crate::{CoreError, Result};
-
-/// Relative residual acceptance for warm-started `G` candidates: a
-/// seeded functional iteration is accepted only if
-/// `‖A2 + A1·G + A0·G²‖∞ ≤ WARM_ACCEPT_TOL × (‖A0‖ + ‖A1‖ + ‖A2‖)`
-/// (the supervisor's block-scaled residual metric); otherwise the point
-/// falls back to a cold logarithmic-reduction solve.
-const WARM_ACCEPT_TOL: f64 = 1e-12;
 
 /// A refinable one-dimensional grid of sweep coordinates.
 ///
@@ -277,33 +262,18 @@ impl Scenario {
 /// Marked `#[non_exhaustive]`: construct with [`SweepOptions::default`]
 /// and the `with_*` builders so new knobs can be added without breaking
 /// downstream crates.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 #[non_exhaustive]
 pub struct SweepOptions {
     /// Worker threads; `0` means all available parallelism. The thread
     /// count never changes results — collection is index-ordered.
     pub threads: usize,
-    /// Seed each worker's next `G` solve with its previous converged
-    /// `G` (neighbor warm-starting). Accepted seeds agree with a cold
-    /// solve only up to the acceptance residual, so this is off by
-    /// default; leave it off when bit-identity with the serial loop
-    /// matters.
-    pub warm_start: bool,
-    /// Share the lumped MMPP service process between points with an
-    /// identical failure/repair side (`⟨Q₁,L₁⟩` and the lumped
-    /// aggregate are λ-independent, so every ρ/λ sweep builds them
-    /// once). The cached construction is bit-identical to the per-point
-    /// rebuild it replaces; on by default.
-    pub reuse_modulator: bool,
     /// Solve each point through the resilient [`SolverSupervisor`]
     /// instead of the plain default-tolerance solve. `None` (default)
     /// keeps the plain path, which is what the paper figures use —
     /// the supervisor's relaxed acceptance and `G` renormalization are
     /// not bit-identical to [`ClusterModel::solve`].
     pub supervisor: Option<SupervisorOptions>,
-    /// Iteration budget for a warm-started functional attempt before
-    /// the point falls back to a cold solve.
-    pub warm_budget: usize,
     /// Durable result store. When set, the pool consults the store
     /// before solving each point (a hit replays the persisted solution
     /// bit-identically via [`performa_qbd::QbdSolution::from_parts`])
@@ -348,24 +318,6 @@ pub struct SweepOptions {
     pub kernel_threads: Option<usize>,
 }
 
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions {
-            threads: 0,
-            warm_start: false,
-            reuse_modulator: true,
-            supervisor: None,
-            warm_budget: 2000,
-            store: None,
-            retry_failed: false,
-            cancel: None,
-            run_budget: None,
-            point_deadline: None,
-            kernel_threads: None,
-        }
-    }
-}
-
 impl SweepOptions {
     /// Sets the per-point worker thread count (`0` = all cores).
     #[must_use]
@@ -374,31 +326,10 @@ impl SweepOptions {
         self
     }
 
-    /// Enables or disables neighbor warm-starting.
-    #[must_use]
-    pub fn with_warm_start(mut self, on: bool) -> Self {
-        self.warm_start = on;
-        self
-    }
-
-    /// Enables or disables modulator sharing between like points.
-    #[must_use]
-    pub fn with_reuse_modulator(mut self, on: bool) -> Self {
-        self.reuse_modulator = on;
-        self
-    }
-
     /// Routes every point through the resilient supervisor.
     #[must_use]
     pub fn with_supervisor(mut self, supervisor: SupervisorOptions) -> Self {
         self.supervisor = Some(supervisor);
-        self
-    }
-
-    /// Sets the warm-started attempt's iteration budget.
-    #[must_use]
-    pub fn with_warm_budget(mut self, budget: usize) -> Self {
-        self.warm_budget = budget;
         self
     }
 
@@ -615,7 +546,7 @@ impl SweepPlan {
         F: Fn(&ClusterSolution) -> T + Sync,
     {
         let ctx = ExecContext::new(self);
-        let out = self.execute(&ctx, |i, worker| {
+        let out = self.execute(&ctx, |i| {
             let point = &self.points[i];
             let _span = performa_obs::span_with(
                 "sweep.point",
@@ -627,7 +558,7 @@ impl SweepPlan {
             );
             let started = Instant::now();
             let mut cost = PointCost::default();
-            let outcome = ctx.solve_point(point, i, worker, &mut cost);
+            let outcome = ctx.solve_point(point, i, &mut cost);
             cost.elapsed = started.elapsed();
             if outcome.is_ok() && cost.source != CostSource::Store {
                 // Feed the budget's cost EWMA with real solve times only
@@ -651,7 +582,7 @@ impl SweepPlan {
         F: Fn(&ClusterModel) -> Result<T> + Sync,
     {
         let ctx = ExecContext::new(self);
-        let out = self.execute(&ctx, |i, _worker| {
+        let out = self.execute(&ctx, |i| {
             let point = &self.points[i];
             let _span = performa_obs::span_with(
                 "sweep.point",
@@ -685,7 +616,7 @@ impl SweepPlan {
     fn execute<T, F>(&self, ctx: &ExecContext<'_>, job: F) -> Vec<(f64, Result<T>)>
     where
         T: Send,
-        F: Fn(usize, &mut WorkerState) -> Result<T> + Sync,
+        F: Fn(usize) -> Result<T> + Sync,
     {
         enum Slot<T> {
             Pending,
@@ -703,7 +634,6 @@ impl SweepPlan {
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
-                    let mut worker = WorkerState::default();
                     loop {
                         // Cancellation / budget-exhaustion checkpoint:
                         // once the run is stopping no further points are
@@ -719,7 +649,7 @@ impl SweepPlan {
                         // One bad point must not kill the sweep: typed
                         // errors flow into the slot, and a panic in the
                         // solver is captured the same way.
-                        let out = catch_unwind(AssertUnwindSafe(|| job(i, &mut worker)))
+                        let out = catch_unwind(AssertUnwindSafe(|| job(i)))
                             .unwrap_or_else(|payload| {
                                 Err(CoreError::InvalidParameter {
                                     message: format!(
@@ -800,13 +730,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// Per-worker mutable state: the last converged `G` of this worker,
-/// used as the warm-start seed of its next claimed point.
-#[derive(Default)]
-struct WorkerState {
-    last_g: Option<Matrix>,
-}
-
 /// Shared execution context of one run: the modulator cache and the
 /// run's counters.
 struct ExecContext<'a> {
@@ -816,8 +739,6 @@ struct ExecContext<'a> {
     modulators: Vec<OnceLock<std::result::Result<Arc<Mmpp>, String>>>,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
-    warm_accepted: AtomicU64,
-    warm_rejected: AtomicU64,
     store_hits: AtomicU64,
     store_appends: AtomicU64,
     retries: AtomicU64,
@@ -840,8 +761,6 @@ impl<'a> ExecContext<'a> {
             modulators: (0..plan.groups).map(|_| OnceLock::new()).collect(),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
-            warm_accepted: AtomicU64::new(0),
-            warm_rejected: AtomicU64::new(0),
             store_hits: AtomicU64::new(0),
             store_appends: AtomicU64::new(0),
             retries: AtomicU64::new(0),
@@ -948,7 +867,7 @@ impl<'a> ExecContext<'a> {
         }
     }
 
-    /// The lumped MMPP for this point, through the cache when enabled.
+    /// The lumped MMPP for this point, through the cache.
     /// The cached object is bit-identical to a fresh
     /// [`ClusterModel::service_process`], so the cache never changes
     /// results — only skips rebuilding.
@@ -972,14 +891,13 @@ impl<'a> ExecContext<'a> {
 
     /// Solves one point: the durable store first (a hit replays the
     /// persisted solution without touching the solver), then modulator
-    /// (cached) and `G`/`R`/boundary via warm start, supervisor, or the
-    /// plain bit-identical default path; fresh outcomes are appended
+    /// (cached) and `G`/`R`/boundary via the supervisor or the plain
+    /// bit-identical default path; fresh outcomes are appended
     /// back to the store.
     fn solve_point(
         &self,
         point: &PlanPoint,
         index: usize,
-        worker: &mut WorkerState,
         cost: &mut PointCost,
     ) -> Result<ClusterSolution> {
         let model = match &point.model {
@@ -1001,7 +919,7 @@ impl<'a> ExecContext<'a> {
             });
         }
         let Some(store) = &self.plan.options.store else {
-            return self.solve_point_fresh(point, model, index, worker, cost);
+            return self.solve_point_fresh(point, model, index, cost);
         };
         let key = store_key(model, point.x);
         match store.get(&key) {
@@ -1018,7 +936,7 @@ impl<'a> ExecContext<'a> {
                 Err(CoreError::ReplayedFailure { kind, message })
             }
             _ => {
-                let outcome = self.solve_point_fresh(point, model, index, worker, cost);
+                let outcome = self.solve_point_fresh(point, model, index, cost);
                 self.persist(store, &key, &outcome)?;
                 outcome
             }
@@ -1097,8 +1015,8 @@ impl<'a> ExecContext<'a> {
         Ok(())
     }
 
-    /// The pre-store solve path: modulator (cached), then supervisor,
-    /// warm start, or the plain cold solve with its bounded
+    /// The pre-store solve path: modulator (cached), then supervisor
+    /// or the plain cold solve with its bounded
     /// retry-with-hardening ladder. Per-point deadlines and the cancel
     /// token are threaded into whichever solver runs; a point that
     /// trips its deadline twice (first attempt + hardened retry under a
@@ -1108,16 +1026,10 @@ impl<'a> ExecContext<'a> {
         point: &PlanPoint,
         model: &ClusterModel,
         index: usize,
-        worker: &mut WorkerState,
         cost: &mut PointCost,
     ) -> Result<ClusterSolution> {
-        let qbd = if self.plan.options.reuse_modulator && point.group != usize::MAX {
-            let mmpp = self.modulator(point, model)?;
-            Qbd::m_mmpp1(model.arrival_rate(), mmpp.generator(), mmpp.rates())
-                .map_err(CoreError::from)?
-        } else {
-            model.to_qbd()?
-        };
+        let mmpp = self.modulator(point, model)?;
+        let qbd = Qbd::m_mmpp1(model.arrival_rate(), mmpp.generator(), mmpp.rates())?;
         let cancel = self.plan.options.cancel.clone();
         let deadline = self.point_deadline(index)?;
 
@@ -1160,12 +1072,6 @@ impl<'a> ExecContext<'a> {
                 }
                 other => other,
             };
-        }
-
-        if self.plan.options.warm_start {
-            if let Some(sol) = self.try_warm(&qbd, model, deadline, &cancel, worker, cost)? {
-                return Ok(sol);
-            }
         }
 
         // Cold path — exactly `ClusterModel::solve`'s solver invocation.
@@ -1226,67 +1132,7 @@ impl<'a> ExecContext<'a> {
             }
             Err(e) => return Err(e.into()),
         };
-        if self.plan.options.warm_start {
-            worker.last_g = Some(sol.g_matrix().clone());
-        }
         Ok(ClusterSolution::new(model.clone(), sol))
-    }
-
-    /// Attempts a warm-started solve from the worker's previous `G`.
-    /// Returns `Ok(None)` (after counting the rejection) when there is
-    /// no usable seed, the seeded iteration fails to converge within
-    /// the budget, or the converged candidate's residual is above the
-    /// acceptance threshold — the caller then cold-starts. A
-    /// cancellation aborts outright (`Err`); a deadline trip rejects
-    /// like any other warm failure, so the cold attempt trips the same
-    /// already-expired deadline at its first check and the quarantine
-    /// ladder proceeds normally.
-    fn try_warm(
-        &self,
-        qbd: &Qbd,
-        model: &ClusterModel,
-        deadline: Option<Instant>,
-        cancel: &Option<CancelToken>,
-        worker: &mut WorkerState,
-        cost: &mut PointCost,
-    ) -> Result<Option<ClusterSolution>> {
-        let Some(seed) = worker
-            .last_g
-            .as_ref()
-            .filter(|g| g.nrows() == qbd.phase_dim())
-        else {
-            return Ok(None);
-        };
-        let mut opts = SolveOptions::default()
-            .with_initial_g(seed.clone())
-            .tap_budget(self.plan.options.warm_budget);
-        opts.deadline = deadline;
-        opts.cancel = cancel.clone();
-        let (g, warm_iters) = match qbd.g_matrix_functional_with_count(opts) {
-            Ok(pair) => pair,
-            Err(QbdError::Cancelled { .. }) => return Err(CoreError::Cancelled),
-            Err(_) => {
-                self.warm_rejected.fetch_add(1, Ordering::Relaxed);
-                return Ok(None);
-            }
-        };
-        let scale = qbd.a0().norm_inf() + qbd.a1().norm_inf() + qbd.a2().norm_inf();
-        // NaN residuals must reject, hence the explicit is_nan arm.
-        let residual = qbd.g_residual(&g);
-        if residual.is_nan() || residual > WARM_ACCEPT_TOL * scale {
-            self.warm_rejected.fetch_add(1, Ordering::Relaxed);
-            return Ok(None);
-        }
-        self.warm_accepted.fetch_add(1, Ordering::Relaxed);
-        performa_obs::counter_add("sweep.warm_start_accepted", 1);
-        worker.last_g = Some(g.clone());
-        let Ok(sol) = qbd.solve_from_g(g, performa_qbd::Hardening::default()) else {
-            return Ok(None);
-        };
-        cost.source = CostSource::Warm;
-        cost.strategy = "functional";
-        cost.iterations = warm_iters as u64;
-        Ok(Some(ClusterSolution::new(model.clone(), sol)))
     }
 
     /// Assembles the ordered results and the run statistics, flushes
@@ -1322,8 +1168,6 @@ impl<'a> ExecContext<'a> {
             quarantined: self.quarantined.load(Ordering::Relaxed) as usize,
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            warm_accepted: self.warm_accepted.load(Ordering::Relaxed),
-            warm_rejected: self.warm_rejected.load(Ordering::Relaxed),
             store_hits: self.store_hits.load(Ordering::Relaxed),
             store_appends: self.store_appends.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
@@ -1344,18 +1188,6 @@ impl<'a> ExecContext<'a> {
     }
 }
 
-/// Extension used internally to cap a warm attempt's budget.
-trait TapBudget {
-    fn tap_budget(self, budget: usize) -> Self;
-}
-
-impl TapBudget for SolveOptions {
-    fn tap_budget(mut self, budget: usize) -> Self {
-        self.max_iterations = budget.max(1);
-        self
-    }
-}
-
 /// Which solve path produced (or failed to produce) a point's result —
 /// together with [`PointCost::iterations`] the feature inputs for an
 /// adaptive sweep scheduler.
@@ -1367,8 +1199,6 @@ pub enum CostSource {
     Skipped,
     /// Replayed bit-exactly from the durable result store.
     Store,
-    /// Warm-started functional iteration accepted by the residual gate.
-    Warm,
     /// Cold solve on the default path (logarithmic reduction).
     Cold,
     /// Cold solve that needed the hardened retry of the ladder.
@@ -1378,13 +1208,12 @@ pub enum CostSource {
 }
 
 impl CostSource {
-    /// Short stable label (`store`, `warm`, `cold`, `retry`,
+    /// Short stable label (`store`, `cold`, `retry`,
     /// `supervisor`, `skipped`).
     pub fn label(&self) -> &'static str {
         match self {
             CostSource::Skipped => "skipped",
             CostSource::Store => "store",
-            CostSource::Warm => "warm",
             CostSource::Cold => "cold",
             CostSource::Retry => "retry",
             CostSource::Supervisor => "supervisor",
@@ -1419,8 +1248,8 @@ pub struct SweepPoint<T> {
     pub cost: PointCost,
 }
 
-/// Run statistics of a sweep, including both caching layers' hit
-/// counters.
+/// Run statistics of a sweep, including the modulator-cache and
+/// result-store hit counters.
 #[derive(Debug, Clone, Default)]
 pub struct SweepStats {
     /// Total grid points.
@@ -1442,10 +1271,6 @@ pub struct SweepStats {
     pub cache_hits: u64,
     /// Modulator-cache misses (points that built a lumped MMPP).
     pub cache_misses: u64,
-    /// Warm-started `G` solves accepted by the residual test.
-    pub warm_accepted: u64,
-    /// Warm attempts that fell back to a cold solve.
-    pub warm_rejected: u64,
     /// Points replayed from the durable result store (solved records
     /// and non-retried failure records alike).
     pub store_hits: u64,
@@ -1557,117 +1382,61 @@ mod tests {
         assert_eq!(grid.values(), expected.as_slice());
     }
 
+    /// Bit patterns of `metric` along the serial loop
+    /// `for x { model_at(x).solve() }` — the reference the engine
+    /// promises to reproduce, each point rebuilding its own modulator.
+    fn serial_bits(
+        template: &ClusterModel,
+        grid: &[f64],
+        metric: fn(&ClusterSolution) -> f64,
+    ) -> Vec<u64> {
+        grid.iter()
+            .map(|&rho| metric(&template.with_utilization(rho).unwrap().solve().unwrap()).to_bits())
+            .collect()
+    }
+
+    fn engine_bits(res: SweepResult<f64>) -> Vec<u64> {
+        res.expect_values("stable grid").into_iter().map(f64::to_bits).collect()
+    }
+
     #[test]
     fn parallel_equals_serial_bitwise() {
+        let _guard = performa_obs::test_lock();
         let grid = Grid::linear(0.1, 0.9, 7).into_values();
         let template = cluster(3, 0.5);
-
-        // Ground truth: the historical serial loop.
-        let serial: Vec<u64> = grid
-            .iter()
-            .map(|&rho| {
-                template
-                    .with_utilization(rho)
-                    .unwrap()
-                    .solve()
-                    .unwrap()
-                    .normalized_mean_queue_length()
-                    .to_bits()
-            })
-            .collect();
+        let metric = ClusterSolution::normalized_mean_queue_length;
+        let serial = serial_bits(&template, &grid, metric);
 
         for threads in [1usize, 4] {
             let res = Scenario::new(template.clone(), Axis::Rho(grid.clone()))
                 .compile()
-                .with_options(SweepOptions {
-                    threads,
-                    ..SweepOptions::default()
-                })
-                .run_map(|sol| sol.normalized_mean_queue_length());
-            let engine: Vec<u64> = res
-                .expect_values("stable grid")
-                .into_iter()
-                .map(f64::to_bits)
-                .collect();
-            assert_eq!(engine, serial, "threads = {threads} must be bit-identical");
+                .with_options(SweepOptions::default().with_threads(threads))
+                .run_map(metric);
+            assert_eq!(engine_bits(res), serial, "threads = {threads} must be bit-identical");
         }
     }
 
     #[test]
-    fn modulator_cache_hits_on_rho_sweeps_and_respects_opt_out() {
+    fn modulator_cache_hits_on_rho_sweeps_and_matches_serial_loop() {
+        let _guard = performa_obs::test_lock();
         let grid = Grid::linear(0.2, 0.8, 5).into_values();
         let n = grid.len();
-        let plan = Scenario::new(cluster(3, 0.5), Axis::Rho(grid.clone())).compile();
+        let template = cluster(3, 0.5);
+        let metric = ClusterSolution::mean_queue_length;
+        let serial = serial_bits(&template, &grid, metric);
 
-        let cached = plan
-            .clone()
-            .with_options(SweepOptions {
-                threads: 1,
-                ..SweepOptions::default()
-            })
-            .run_map(|sol| sol.mean_queue_length());
+        let cached = Scenario::new(template, Axis::Rho(grid))
+            .compile()
+            .with_options(SweepOptions::default().with_threads(1))
+            .run_map(metric);
         assert_eq!(cached.stats().cache_misses, 1);
         assert_eq!(cached.stats().cache_hits, (n - 1) as u64);
-
-        let uncached = plan
-            .with_options(SweepOptions {
-                threads: 1,
-                reuse_modulator: false,
-                ..SweepOptions::default()
-            })
-            .run_map(|sol| sol.mean_queue_length());
-        assert_eq!(uncached.stats().cache_hits, 0);
-
-        let a: Vec<u64> = cached
-            .expect_values("stable")
-            .into_iter()
-            .map(f64::to_bits)
-            .collect();
-        let b: Vec<u64> = uncached
-            .expect_values("stable")
-            .into_iter()
-            .map(f64::to_bits)
-            .collect();
-        assert_eq!(a, b, "modulator cache must not change bits");
-    }
-
-    #[test]
-    fn warm_start_agrees_with_cold_across_rho1_threshold() {
-        // Grid straddling the first blow-up threshold ρ₁ = 0.6087 of
-        // the N = 2, δ = 0.2, A = 0.9 base cluster.
-        let grid = Grid::linear(0.58, 0.64, 6).refine_near(&[0.6087]).into_values();
-        let plan = Scenario::new(cluster(4, 0.5), Axis::Rho(grid)).compile();
-
-        let cold = plan
-            .clone()
-            .with_options(SweepOptions {
-                threads: 1,
-                ..SweepOptions::default()
-            })
-            .run();
-        let warm = plan
-            .with_options(SweepOptions {
-                threads: 1,
-                warm_start: true,
-                ..SweepOptions::default()
-            })
-            .run();
-        assert!(
-            warm.stats().warm_accepted >= 1,
-            "warm starts should be accepted on a fine grid, stats = {:?}",
-            warm.stats()
-        );
-        for (c, w) in cold.points().iter().zip(warm.points()) {
-            let (c, w) = (c.outcome.as_ref().unwrap(), w.outcome.as_ref().unwrap());
-            let dg = c.qbd().g_matrix().max_abs_diff(w.qbd().g_matrix());
-            assert!(dg <= 1e-10, "G agreement at x = {}: ‖ΔG‖ = {dg:.3e}", 0);
-            let dm = (c.mean_queue_length() - w.mean_queue_length()).abs();
-            assert!(dm <= 1e-8, "metric agreement: Δ = {dm:.3e}");
-        }
+        assert_eq!(engine_bits(cached), serial, "modulator cache must not change bits");
     }
 
     #[test]
     fn bad_point_does_not_kill_the_sweep() {
+        let _guard = performa_obs::test_lock();
         // ρ = 1.2 is unstable; ρ ≤ 0 cannot even build a model.
         let plan = Scenario::new(
             cluster(3, 0.5),
@@ -1689,6 +1458,9 @@ mod tests {
 
     #[test]
     fn cache_hit_counter_reaches_memory_sink() {
+        // Every test of this module that runs the engine holds the obs
+        // test lock, so no other sweep's spans or counters reach this
+        // sink while it is attached.
         use performa_obs as obs;
         use std::sync::Arc;
         let _guard = obs::test_lock();
@@ -1725,6 +1497,7 @@ mod tests {
 
     #[test]
     fn axes_transform_the_template_as_documented() {
+        let _guard = performa_obs::test_lock();
         let template = cluster(3, 0.5);
 
         let lam = Scenario::new(template.clone(), Axis::Lambda(vec![1.0, 1.5])).compile();

@@ -55,10 +55,7 @@ pub const NR: usize = 8;
 /// granularity of the parallel row partition — each output row block is
 /// owned by exactly one thread.
 pub const MC: usize = 128;
-/// Depth-block size: the `k` extent of one packed panel pair. Each
-/// depth panel contributes one `C += α·acc` update per output element;
-/// the structured kernels in [`crate::storage`] replicate this panel
-/// split exactly to stay bit-identical to the dense path.
+/// Depth-block size: the `k` extent of one packed panel pair.
 pub const KC: usize = 256;
 /// Column-block size: columns of packed `B` processed per outer sweep.
 const NC: usize = 1024;

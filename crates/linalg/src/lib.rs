@@ -45,12 +45,10 @@ pub mod gemm;
 pub mod kron;
 pub mod lu;
 pub mod spectral;
-pub mod storage;
 pub mod threading;
 
 pub use error::LinalgError;
 pub use matrix::Matrix;
-pub use storage::{ClassifiedMatrix, MatRead, MatStorage, StorageKind};
 pub use vector::Vector;
 
 /// Workspace-wide numeric tolerance used as a default by iterative routines.

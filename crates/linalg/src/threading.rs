@@ -13,6 +13,11 @@
 //! the CLI / sweep options via [`set_threads`]. `0` means "all
 //! available cores".
 //!
+//! Independently of the thread count, a fixed flop gate
+//! ([`DEFAULT_PAR_MIN_FLOPS`]) keeps small products serial so they
+//! never pay thread startup; tests may lower it with
+//! [`set_par_min_flops`].
+//!
 //! Parallel execution is **bitwise deterministic**: every kernel
 //! partitions its output into contiguous regions owned by exactly one
 //! thread each, and performs the same per-element FMA sequence as the
@@ -64,39 +69,24 @@ pub fn set_threads(n: usize) {
     THREADS.store(resolve(n), Ordering::Relaxed);
 }
 
-/// Environment variable overriding the parallel-dispatch flop gate.
-pub const PAR_MIN_FLOPS_ENV: &str = "PERFORMA_PAR_MIN_FLOPS";
-
 /// Default flop gate: products below this many flops never spawn
 /// threads, so small-matrix callers keep zero threading overhead.
 pub const DEFAULT_PAR_MIN_FLOPS: usize = 8_000_000;
 
-static PAR_MIN_FLOPS: AtomicUsize = AtomicUsize::new(UNSET);
+static PAR_MIN_FLOPS: AtomicUsize = AtomicUsize::new(DEFAULT_PAR_MIN_FLOPS);
 
-/// The flop count above which the auto-gated kernels go parallel.
-///
-/// First call seeds the gate from `PERFORMA_PAR_MIN_FLOPS` (absent or
-/// unparsable ⇒ [`DEFAULT_PAR_MIN_FLOPS`]). The gate only decides
-/// *whether* threads are used, never what they compute — results are
-/// bitwise identical on either side of it.
+/// The flop count above which the auto-gated kernels go parallel:
+/// [`DEFAULT_PAR_MIN_FLOPS`] unless [`set_par_min_flops`] changed it.
+/// The gate only decides *whether* threads are used, never what they
+/// compute — results are bitwise identical on either side of it.
 pub fn par_min_flops() -> usize {
-    let cur = PAR_MIN_FLOPS.load(Ordering::Relaxed);
-    if cur != UNSET {
-        return cur;
-    }
-    let from_env = std::env::var(PAR_MIN_FLOPS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(DEFAULT_PAR_MIN_FLOPS);
-    PAR_MIN_FLOPS.store(from_env, Ordering::Relaxed);
-    from_env
+    PAR_MIN_FLOPS.load(Ordering::Relaxed)
 }
 
 /// Overrides the parallel-dispatch flop gate for the whole process
-/// (tuning knob; tests use it to exercise the parallel paths at small
-/// sizes). `usize::MAX` is reserved and clamped down by one.
+/// (tests use it to exercise the parallel paths at small sizes).
 pub fn set_par_min_flops(n: usize) {
-    PAR_MIN_FLOPS.store(n.min(UNSET - 1), Ordering::Relaxed);
+    PAR_MIN_FLOPS.store(n, Ordering::Relaxed);
 }
 
 /// Splits `blocks` work blocks into at most `workers` contiguous,

@@ -8,15 +8,13 @@
 //! setting never has to be mutated from concurrently-running tests) at
 //! 1, 2 and 4 workers over randomized shapes that straddle the blocking
 //! boundaries — `m` not a multiple of the `MC` row panel, ragged
-//! micro-tiles — plus the banded↔dense classification edge where the
-//! structured kernels take over.
+//! micro-tiles.
 
 use proptest::prelude::*;
 
 use performa_linalg::gemm::{gemm_into_threaded, MC, MR};
 use performa_linalg::lu::LuWorkspace;
-use performa_linalg::storage::{gemm_left_into, gemm_right_into};
-use performa_linalg::{ClassifiedMatrix, Matrix, StorageKind};
+use performa_linalg::Matrix;
 
 fn matrix_from(vals: &[f64], nrows: usize, ncols: usize) -> Matrix {
     Matrix::from_fn(nrows, ncols, |i, j| vals[(i * ncols + j) % vals.len()] - 0.5)
@@ -91,48 +89,5 @@ proptest! {
             ws.solve_left_mat_into_threaded(&bl, &mut par_l, workers).unwrap();
             assert_bitwise(&format!("solve_left {w}x{n} @{workers}"), &par_l, &serial_l);
         }
-    }
-
-    /// Around the banded↔dense classification edge (`kl + ku + 1 ≈ n/3`)
-    /// the structured kernels and the dense fallback agree bitwise with
-    /// blocked GEMM, whichever side of the edge the probe lands on.
-    #[test]
-    fn classification_edge_matches_dense_bitwise(
-        n in 9usize..48,
-        kl in 0usize..8,
-        ku in 0usize..8,
-        vals in prop::collection::vec(0.0f64..1.0, 80),
-    ) {
-        let band = Matrix::from_fn(n, n, |i, j| {
-            if j + kl >= i && j <= i + ku {
-                vals[(i * 7 + j * 3) % vals.len()] + 0.01
-            } else {
-                0.0
-            }
-        });
-        let s = ClassifiedMatrix::classify(band);
-        // The probe must take the banded lane exactly when it pays off.
-        let expect_kind = if kl == 0 && ku == 0 {
-            StorageKind::Diagonal
-        } else if kl + ku < n / 3 {
-            StorageKind::Banded
-        } else {
-            StorageKind::Dense
-        };
-        prop_assert_eq!(s.kind(), expect_kind);
-
-        let b = matrix_from(&vals, n, n);
-        let c0 = matrix_from(&vals[4..], n, n);
-        let mut want = c0.clone();
-        gemm_into_threaded(1.0, s.dense(), &b, 1.0, &mut want, 1);
-        let mut got = c0.clone();
-        gemm_left_into(1.0, &s, &b, 1.0, &mut got);
-        assert_bitwise("classified left", &got, &want);
-
-        let mut want_r = c0.clone();
-        gemm_into_threaded(1.0, &b, s.dense(), 1.0, &mut want_r, 1);
-        let mut got_r = c0.clone();
-        gemm_right_into(1.0, &b, &s, 1.0, &mut got_r);
-        assert_bitwise("classified right", &got_r, &want_r);
     }
 }

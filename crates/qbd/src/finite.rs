@@ -1,6 +1,6 @@
-use performa_linalg::{lu::Lu, ClassifiedMatrix, Matrix, Vector};
+use performa_linalg::{lu::Lu, Matrix, Vector};
 
-use crate::workspace::{self, gemm_right};
+use crate::workspace::{self, gemm};
 use crate::{QbdError, Result};
 
 /// A finite-buffer QBD: levels `0..=capacity`, homogeneous interior blocks
@@ -31,10 +31,7 @@ use crate::{QbdError, Result};
 pub struct FiniteQbd {
     a0: Matrix,
     a1: Matrix,
-    /// Classified at construction: the backward sweep right-multiplies by
-    /// `A2` once per level, so the structured kernel pays off at every
-    /// level of a deep buffer.
-    a2: ClassifiedMatrix,
+    a2: Matrix,
     b00: Matrix,
     capacity: usize,
 }
@@ -82,7 +79,7 @@ impl FiniteQbd {
         Ok(FiniteQbd {
             a0,
             a1,
-            a2: ClassifiedMatrix::classify(a2),
+            a2,
             b00,
             capacity,
         })
@@ -131,7 +128,7 @@ impl FiniteQbd {
                 // t1 ← −(A1 + R_{n+1}·A2).
                 let (lower, upper) = rs.split_at_mut(n + 1);
                 ws.t1.copy_from(&self.a1);
-                gemm_right(1.0, &upper[0], &self.a2, 1.0, &mut ws.t1);
+                gemm(1.0, &upper[0], &self.a2, 1.0, &mut ws.t1);
                 ws.t1.scale_mut(-1.0);
                 ws.lu.factor(&ws.t1)?;
                 ws.lu.solve_left_mat_into(&self.a0, &mut lower[n])?;
@@ -139,7 +136,7 @@ impl FiniteQbd {
             // π0 from π0·(B00 + R1·A2) = 0: replace the last column with
             // ones and solve x·M' = e_last (null left-vector trick).
             let mut sys = self.b00.clone();
-            gemm_right(1.0, &rs[1], &self.a2, 1.0, &mut sys);
+            gemm(1.0, &rs[1], &self.a2, 1.0, &mut sys);
             Ok::<_, QbdError>(sys)
         })?;
         for i in 0..m {

@@ -5,12 +5,12 @@ use std::time::Instant;
 use performa_ctrl::CancelToken;
 use performa_linalg::{
     lu::{FactorOptions, Lu, LuWorkspace},
-    ClassifiedMatrix, Matrix, Vector,
+    Matrix, Vector,
 };
 
 use crate::fault;
 use crate::solution::QbdSolution;
-use crate::workspace::{self, gemm, gemm_left, gemm_right};
+use crate::workspace::{self, gemm};
 use crate::{QbdError, Result};
 
 /// Tolerance for generator row-sum validation, scaled by the largest rate.
@@ -296,18 +296,6 @@ pub struct SolveOptions {
     pub max_iterations: usize,
     /// Numerical hardening applied to the `G` stages (default: none).
     pub hardening: Hardening,
-    /// Optional warm-start seed for `G` — a converged `G` from a nearby
-    /// model (e.g. the neighboring point of a parameter sweep).
-    ///
-    /// When set, [`Qbd::solve_with`] first runs the *functional*
-    /// iteration `G ← (−A1)⁻¹(A2 + A0·G²)` from this seed; close seeds
-    /// converge in a handful of cheap iterations instead of a full
-    /// logarithmic-reduction solve. If the seeded iteration does not
-    /// converge within the budget, the solve falls back to a plain
-    /// cold-start logarithmic reduction, so the seed can never make a
-    /// solvable problem fail. A seed whose dimension does not match the
-    /// phase dimension is ignored.
-    pub initial_g: Option<Matrix>,
     /// Optional wall-clock deadline for the `G` stages, checked at the
     /// amortized [`CHECK_STRIDE`]; expiry yields
     /// [`QbdError::DeadlineExceeded`]. `None` (the default) disables
@@ -324,7 +312,6 @@ impl Default for SolveOptions {
             tolerance: 1e-14,
             max_iterations: 200,
             hardening: Hardening::default(),
-            initial_g: None,
             deadline: None,
             cancel: None,
         }
@@ -362,14 +349,6 @@ impl SolveOptions {
         self
     }
 
-    /// The same options with a warm-start seed for `G` (see
-    /// [`SolveOptions::initial_g`]).
-    #[must_use]
-    pub fn with_initial_g(mut self, g: Matrix) -> Self {
-        self.initial_g = Some(g);
-        self
-    }
-
     /// The same options with a wall-clock deadline for the `G` stages.
     #[must_use]
     pub fn with_deadline(mut self, deadline: Instant) -> Self {
@@ -394,13 +373,9 @@ impl SolveOptions {
 /// For the paper's M/MMPP/1 cluster queue, use [`Qbd::m_mmpp1`].
 #[derive(Debug, Clone)]
 pub struct Qbd {
-    /// Interior blocks, probed for structure at construction
-    /// ([`ClassifiedMatrix::classify`]): for the paper's models `A0` and
-    /// `A2` are diagonal, so their products run on the structured
-    /// kernels — bitwise identical to dense, markedly cheaper.
-    a0: ClassifiedMatrix,
-    a1: ClassifiedMatrix,
-    a2: ClassifiedMatrix,
+    a0: Matrix,
+    a1: Matrix,
+    a2: Matrix,
     b00: Matrix,
     b01: Matrix,
     b10: Matrix,
@@ -509,9 +484,9 @@ impl Qbd {
         check("A2+A1+A0", worst_row_sum(&[&a2, &a1, &a0]))?;
 
         Ok(Qbd {
-            a0: ClassifiedMatrix::classify(a0),
-            a1: ClassifiedMatrix::classify(a1),
-            a2: ClassifiedMatrix::classify(a2),
+            a0,
+            a1,
+            a2,
             b00,
             b01,
             b10,
@@ -601,34 +576,22 @@ impl Qbd {
 
     /// Phase-space dimension `m`.
     pub fn phase_dim(&self) -> usize {
-        self.a1.dense().nrows()
+        self.a1.nrows()
     }
 
     /// The up (arrival) block `A0`.
     pub fn a0(&self) -> &Matrix {
-        self.a0.dense()
+        &self.a0
     }
 
     /// The local block `A1`.
     pub fn a1(&self) -> &Matrix {
-        self.a1.dense()
+        &self.a1
     }
 
     /// The down (service) block `A2`.
     pub fn a2(&self) -> &Matrix {
-        self.a2.dense()
-    }
-
-    /// Kernel classification tag, e.g. `"a0:diagonal,a1:dense,a2:diagonal"`
-    /// — the `qbd.kernel` strategy tag the supervisor reports and the
-    /// observatory attributes speedups to.
-    pub fn kernel_tag(&self) -> String {
-        format!(
-            "a0:{},a1:{},a2:{}",
-            self.a0.kernel_name(),
-            self.a1.kernel_name(),
-            self.a2.kernel_name()
-        )
+        &self.a2
     }
 
     /// Stationary distribution `φ` of the phase process `A = A0+A1+A2`.
@@ -637,7 +600,7 @@ impl Qbd {
     ///
     /// [`QbdError::Linalg`] for a reducible phase process.
     pub fn phase_steady_state(&self) -> Result<Vector> {
-        let a = &(self.a0.dense() + self.a1.dense()) + self.a2.dense();
+        let a = &(&self.a0 + &self.a1) + &self.a2;
         // Solve φ·A = 0 with normalization (same construction as
         // performa-markov's steady_state; duplicated to keep the crate
         // dependency graph a simple chain).
@@ -662,8 +625,8 @@ impl Qbd {
     pub fn drift(&self) -> Result<(f64, f64)> {
         let phi = self.phase_steady_state()?;
         Ok((
-            phi.dot(&self.a0.dense().row_sums()),
-            phi.dot(&self.a2.dense().row_sums()),
+            phi.dot(&self.a0.row_sums()),
+            phi.dot(&self.a2.row_sums()),
         ))
     }
 
@@ -768,30 +731,30 @@ impl Qbd {
             // k1 = H = (−Ã1)⁻¹·A0 (up), k2 = L = (−Ã1)⁻¹·Ã2 (down);
             // iterates x1 = G (seeded from L), x2 = T (seeded from H).
             // Unshifted, Ã1 = A1 and Ã2 = A2.
-            ws.t1.copy_from(self.a1.dense());
+            ws.t1.copy_from(&self.a1);
             ws.t1.scale_mut(-1.0);
             if hardening.shift {
                 // −Ã1 = −A1 − (A0ε)uᵀ.
-                subtract_rank_one_rowsum(&mut ws.t1, &self.a0.dense().row_sums(), um);
+                subtract_rank_one_rowsum(&mut ws.t1, &self.a0.row_sums(), um);
             }
             ws.lu.factor_with(&ws.t1, hardening.setup_factor())?;
             let down_block = if hardening.shift {
                 // Ã2 = A2 − (A2ε)uᵀ, staged in t2 (free until the loop).
-                ws.t2.copy_from(self.a2.dense());
-                subtract_rank_one_rowsum(&mut ws.t2, &self.a2.dense().row_sums(), um);
+                ws.t2.copy_from(&self.a2);
+                subtract_rank_one_rowsum(&mut ws.t2, &self.a2.row_sums(), um);
                 &ws.t2
             } else {
-                self.a2.dense()
+                &self.a2
             };
             if hardening.refine {
-                let s1 = ws.lu.solve_mat_refined_into(self.a0.dense(), &mut ws.k1)?;
+                let s1 = ws.lu.solve_mat_refined_into(&self.a0, &mut ws.k1)?;
                 let s2 = ws.lu.solve_mat_refined_into(down_block, &mut ws.k2)?;
                 performa_obs::counter_add(
                     "qbd.refine_iters",
                     (s1.iterations + s2.iterations) as u64,
                 );
             } else {
-                ws.lu.solve_mat_into(self.a0.dense(), &mut ws.k1)?;
+                ws.lu.solve_mat_into(&self.a0, &mut ws.k1)?;
                 ws.lu.solve_mat_into(down_block, &mut ws.k2)?;
             }
             ws.x1.copy_from(&ws.k2);
@@ -867,14 +830,12 @@ impl Qbd {
                 None,
                 None,
                 Hardening::default(),
-                None,
             )?
             .0)
     }
 
     /// [`Qbd::g_matrix_functional`] with explicit [`SolveOptions`],
-    /// including hardening (shift + equilibration + refinement) and the
-    /// warm-start seed [`SolveOptions::initial_g`].
+    /// including hardening (shift + equilibration + refinement).
     ///
     /// # Errors
     ///
@@ -882,37 +843,21 @@ impl Qbd {
     /// [`QbdError::Unstable`] when a shift is requested on an unstable
     /// chain.
     pub fn g_matrix_functional_with(&self, opts: SolveOptions) -> Result<Matrix> {
-        Ok(self.g_matrix_functional_with_count(opts)?.0)
-    }
-
-    /// [`Qbd::g_matrix_functional_with`] returning the iteration count
-    /// alongside `G` — the sweep engine's per-point cost records use it
-    /// to price warm-started solves.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Qbd::g_matrix_functional_with`].
-    pub fn g_matrix_functional_with_count(&self, opts: SolveOptions) -> Result<(Matrix, usize)> {
-        self.g_functional_counted(
-            opts.tolerance,
-            opts.max_iterations,
-            opts.deadline,
-            opts.cancel.as_ref(),
-            opts.hardening,
-            opts.initial_g.as_ref(),
-        )
+        Ok(self
+            .g_functional_counted(
+                opts.tolerance,
+                opts.max_iterations,
+                opts.deadline,
+                opts.cancel.as_ref(),
+                opts.hardening,
+            )?
+            .0)
     }
 
     /// Counted functional iteration with watchdogs (stage key
     /// `"functional"`); see [`Qbd::g_logred_counted`]. The shift runs
     /// the iteration `Ĝ ← (−Ã1)⁻¹(Ã2 + A0·Ĝ²)` on the deflated blocks
     /// and undoes the shift on the result.
-    ///
-    /// `initial_g` seeds the iterate with an (unshifted) `G` from a
-    /// nearby model instead of the cold default `(−Ã1)⁻¹·Ã2`; under the
-    /// spectral shift the seed is deflated (`Ĝ₀ = G₀ − ε·uᵀ`) so the
-    /// iteration still converges to the shifted fixed point. A seed of
-    /// the wrong dimension is ignored.
     pub(crate) fn g_functional_counted(
         &self,
         tolerance: f64,
@@ -920,7 +865,6 @@ impl Qbd {
         deadline: Option<Instant>,
         cancel: Option<&CancelToken>,
         hardening: Hardening,
-        initial_g: Option<&Matrix>,
     ) -> Result<(Matrix, usize)> {
         self.shift_gate(hardening)?;
         let m = self.phase_dim();
@@ -931,41 +875,31 @@ impl Qbd {
         workspace::with(m, |ws| {
             // k1 = base = (−Ã1)⁻¹·Ã2, k2 = up = (−Ã1)⁻¹·A0; iterate
             // x1 = Ĝ seeded from base (Ã1 = A1, Ã2 = A2 unshifted).
-            ws.t1.copy_from(self.a1.dense());
+            ws.t1.copy_from(&self.a1);
             ws.t1.scale_mut(-1.0);
             if hardening.shift {
-                subtract_rank_one_rowsum(&mut ws.t1, &self.a0.dense().row_sums(), um);
+                subtract_rank_one_rowsum(&mut ws.t1, &self.a0.row_sums(), um);
             }
             ws.lu.factor_with(&ws.t1, hardening.setup_factor())?;
             let down_block = if hardening.shift {
-                ws.t2.copy_from(self.a2.dense());
-                subtract_rank_one_rowsum(&mut ws.t2, &self.a2.dense().row_sums(), um);
+                ws.t2.copy_from(&self.a2);
+                subtract_rank_one_rowsum(&mut ws.t2, &self.a2.row_sums(), um);
                 &ws.t2
             } else {
-                self.a2.dense()
+                &self.a2
             };
             if hardening.refine {
                 let s1 = ws.lu.solve_mat_refined_into(down_block, &mut ws.k1)?;
-                let s2 = ws.lu.solve_mat_refined_into(self.a0.dense(), &mut ws.k2)?;
+                let s2 = ws.lu.solve_mat_refined_into(&self.a0, &mut ws.k2)?;
                 performa_obs::counter_add(
                     "qbd.refine_iters",
                     (s1.iterations + s2.iterations) as u64,
                 );
             } else {
                 ws.lu.solve_mat_into(down_block, &mut ws.k1)?;
-                ws.lu.solve_mat_into(self.a0.dense(), &mut ws.k2)?;
+                ws.lu.solve_mat_into(&self.a0, &mut ws.k2)?;
             }
-            match initial_g {
-                Some(seed) if seed.nrows() == m && seed.ncols() == m => {
-                    ws.x1.copy_from(seed);
-                    if hardening.shift {
-                        // The iteration converges to Ĝ = G − εuᵀ; deflate
-                        // the (unshifted) seed to match.
-                        undo_shift(&mut ws.x1, -um);
-                    }
-                }
-                _ => ws.x1.copy_from(&ws.k1),
-            }
+            ws.x1.copy_from(&ws.k1);
 
             let mut last_diff = f64::NAN;
             for it in 0..max_iterations {
@@ -1071,11 +1005,11 @@ impl Qbd {
                     check_interrupt("neuts", it, deadline, cancel)?;
                 }
                 // t1 ← −(A1 + A0·G), factored in place; next = t2.
-                ws.t1.copy_from(self.a1.dense());
-                gemm_left(1.0, &self.a0, &ws.x1, 1.0, &mut ws.t1);
+                ws.t1.copy_from(&self.a1);
+                gemm(1.0, &self.a0, &ws.x1, 1.0, &mut ws.t1);
                 ws.t1.scale_mut(-1.0);
                 ws.lu.factor_with(&ws.t1, hardening.inner_factor())?;
-                ws.lu.solve_mat_into(self.a2.dense(), &mut ws.t2)?;
+                ws.lu.solve_mat_into(&self.a2, &mut ws.t2)?;
                 fault::poison("neuts", it, &mut ws.t2);
                 if checking {
                     if !all_finite(&ws.t2) {
@@ -1129,18 +1063,18 @@ impl Qbd {
         let m = self.phase_dim();
         workspace::with(m, |ws| {
             // t1 ← −(A1 + A0·G), factored into the reusable workspace.
-            ws.t1.copy_from(self.a1.dense());
-            gemm_left(1.0, &self.a0, g, 1.0, &mut ws.t1);
+            ws.t1.copy_from(&self.a1);
+            gemm(1.0, &self.a0, g, 1.0, &mut ws.t1);
             ws.t1.scale_mut(-1.0);
             ws.lu.factor_with(&ws.t1, hardening.setup_factor())?;
             let cond = ws.lu.condition_estimate();
             // R = A0·(−U)⁻¹ ⇔ solve X·(−U) = A0.
             let mut r = Matrix::zeros(m, m);
             if hardening.refine {
-                let stats = ws.lu.solve_left_mat_refined_into(self.a0.dense(), &mut r)?;
+                let stats = ws.lu.solve_left_mat_refined_into(&self.a0, &mut r)?;
                 performa_obs::counter_add("qbd.refine_iters", stats.iterations as u64);
             } else {
-                ws.lu.solve_left_mat_into(self.a0.dense(), &mut r)?;
+                ws.lu.solve_left_mat_into(&self.a0, &mut r)?;
             }
             Ok((r, cond))
         })
@@ -1158,12 +1092,6 @@ impl Qbd {
     }
 
     /// Full stationary solve: `G` → `R` → boundary vectors `(π₀, π₁)`.
-    ///
-    /// With [`SolveOptions::initial_g`] set, the `G` stage first tries
-    /// the functional iteration warm-started from the seed and falls
-    /// back to a cold logarithmic reduction if the seeded iteration
-    /// does not converge — the fallback path is bit-identical to a
-    /// seedless solve.
     ///
     /// # Errors
     ///
@@ -1187,42 +1115,19 @@ impl Qbd {
                 down_rate: down,
             });
         }
-        // A warm-start failure still falls back to cold logred — except
-        // for an interrupt, which must not be retried (the fallback
-        // would spin until its own next check, wasting the drain).
-        let warm = match opts.initial_g.as_ref() {
-            Some(seed) => match self.g_functional_counted(
-                opts.tolerance,
-                opts.max_iterations,
-                opts.deadline,
-                opts.cancel.as_ref(),
-                opts.hardening,
-                Some(seed),
-            ) {
-                Ok(pair) => Some(pair),
-                Err(e @ (QbdError::Cancelled { .. } | QbdError::DeadlineExceeded { .. })) => {
-                    return Err(e)
-                }
-                Err(_) => None,
-            },
-            None => None,
-        };
-        let (g, iters) = match warm {
-            Some(pair) => pair,
-            None => self.g_logred_counted(
-                opts.tolerance,
-                opts.max_iterations,
-                opts.deadline,
-                opts.cancel.as_ref(),
-                opts.hardening,
-            )?,
-        };
+        let (g, iters) = self.g_logred_counted(
+            opts.tolerance,
+            opts.max_iterations,
+            opts.deadline,
+            opts.cancel.as_ref(),
+            opts.hardening,
+        )?;
         let r = self.r_from_g_with_cond(&g, opts.hardening)?.0;
         Ok((self.boundary_from_gr(g, r, opts.hardening)?.0, iters))
     }
 
     /// Assembles the full stationary solution from an already-computed
-    /// `G` (e.g. a warm-started sweep point): `R = A0·(−(A1+A0·G))⁻¹`
+    /// `G`: `R = A0·(−(A1+A0·G))⁻¹`
     /// and the boundary system, with `hardening` applied to both solves.
     ///
     /// The caller is responsible for `g` actually solving
@@ -1238,15 +1143,11 @@ impl Qbd {
     }
 
     /// True residual `‖A2 + A1·G + A0·G²‖∞` of a candidate `G` — the
-    /// acceptance metric used by the supervisor and by warm-started
-    /// sweeps.
+    /// acceptance metric used by the supervisor.
     pub fn g_residual(&self, g: &Matrix) -> f64 {
-        // A0·G² on the structured kernel — bitwise identical to the
-        // dense product it replaces, so the acceptance metric is
-        // unchanged by classification.
         let gg = g * g;
         let mut a0gg = Matrix::zeros(g.nrows(), g.ncols());
-        gemm_left(1.0, &self.a0, &gg, 0.0, &mut a0gg);
+        gemm(1.0, &self.a0, &gg, 0.0, &mut a0gg);
         (self.a2() + &(self.a1() * g) + &a0gg).norm_inf()
     }
 
@@ -1285,8 +1186,8 @@ impl Qbd {
             let mut geo_eps = Vector::zeros(m);
             ws.lu.solve_vec_into(&Vector::ones(m), &mut geo_eps)?;
             // a1_ra2 = A1 + R·A2.
-            let mut a1_ra2 = self.a1.dense().clone();
-            gemm_right(1.0, &r, &self.a2, 1.0, &mut a1_ra2);
+            let mut a1_ra2 = self.a1.clone();
+            gemm(1.0, &r, &self.a2, 1.0, &mut a1_ra2);
             Ok::<_, QbdError>((geo_eps, a1_ra2))
         })?;
 
@@ -1571,7 +1472,7 @@ mod tests {
         let past = Some(std::time::Instant::now() - std::time::Duration::from_millis(1));
         for result in [
             qbd.g_neuts_counted(1e-12, 100, past, None, Hardening::default()),
-            qbd.g_functional_counted(1e-12, 100, past, None, Hardening::default(), None),
+            qbd.g_functional_counted(1e-12, 100, past, None, Hardening::default()),
             qbd.g_logred_counted(1e-12, 100, past, None, Hardening::default()),
         ] {
             assert!(matches!(result, Err(QbdError::DeadlineExceeded { .. })));
@@ -1586,7 +1487,7 @@ mod tests {
         let t = Some(&token);
         for result in [
             qbd.g_neuts_counted(1e-12, 100, None, t, Hardening::default()),
-            qbd.g_functional_counted(1e-12, 100, None, t, Hardening::default(), None),
+            qbd.g_functional_counted(1e-12, 100, None, t, Hardening::default()),
             qbd.g_logred_counted(1e-12, 100, None, t, Hardening::default()),
         ] {
             assert!(matches!(result, Err(QbdError::Cancelled { .. })));

@@ -574,9 +574,6 @@ pub struct SolveReport {
     pub attempts: Vec<StageAttempt>,
     /// Wall-clock time of the whole solve.
     pub elapsed: Duration,
-    /// Storage kernels the repeating blocks were classified into, as a
-    /// `"a0:…,a1:…,a2:…"` tag (see [`Qbd::kernel_tag`]).
-    pub kernel: String,
 }
 
 impl SolveReport {
@@ -662,7 +659,6 @@ impl SolverSupervisor {
                 ("phases", self.qbd.phase_dim().into()),
                 ("stages", self.options.chain.len().into()),
                 ("tolerance", self.options.tolerance.into()),
-                ("kernel", self.qbd.kernel_tag().into()),
             ],
         );
         let start = Instant::now();
@@ -1001,7 +997,6 @@ impl SolverSupervisor {
             warnings,
             attempts,
             elapsed: start.elapsed(),
-            kernel: self.qbd.kernel_tag(),
         };
         Ok((solution, report))
     }
@@ -1025,7 +1020,6 @@ impl SolverSupervisor {
                 deadline,
                 cancel,
                 hardening,
-                None,
             ),
             GStrategy::LogarithmicReduction => {
                 self.qbd

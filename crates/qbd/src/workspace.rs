@@ -19,8 +19,7 @@
 
 use std::cell::RefCell;
 
-use performa_linalg::storage::{gemm_left_into, gemm_right_into};
-use performa_linalg::{gemm::gemm_into, lu::LuWorkspace, ClassifiedMatrix, Matrix, StorageKind};
+use performa_linalg::{gemm::gemm_into, lu::LuWorkspace, Matrix};
 
 /// Scratch matrices and factorization storage for one phase dimension.
 ///
@@ -116,34 +115,6 @@ pub(crate) fn with<R>(m: usize, f: impl FnOnce(&mut Workspace) -> R) -> R {
 pub(crate) fn gemm(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
     performa_obs::counter_add("qbd.gemm", 1);
     gemm_into(alpha, a, b, beta, c);
-}
-
-/// Per-kernel attribution counter: `qbd.kernel.{dense,diagonal,banded}`.
-/// Counted *alongside* `qbd.gemm`, so the existing per-iteration GEMM
-/// accounting is unchanged by kernel classification.
-fn count_kernel(s: &ClassifiedMatrix) {
-    let metric = match s.kind() {
-        StorageKind::Diagonal => "qbd.kernel.diagonal",
-        StorageKind::Banded => "qbd.kernel.banded",
-        _ => "qbd.kernel.dense",
-    };
-    performa_obs::counter_add(metric, 1);
-}
-
-/// Counted structured product `C ← α·S·B + β·C` on a classified left
-/// operand; bitwise identical to [`gemm`] on `S.dense()`.
-pub(crate) fn gemm_left(alpha: f64, s: &ClassifiedMatrix, b: &Matrix, beta: f64, c: &mut Matrix) {
-    performa_obs::counter_add("qbd.gemm", 1);
-    count_kernel(s);
-    gemm_left_into(alpha, s, b, beta, c);
-}
-
-/// Counted structured product `C ← α·A·S + β·C` on a classified right
-/// operand; bitwise identical to [`gemm`] on `S.dense()`.
-pub(crate) fn gemm_right(alpha: f64, a: &Matrix, s: &ClassifiedMatrix, beta: f64, c: &mut Matrix) {
-    performa_obs::counter_add("qbd.gemm", 1);
-    count_kernel(s);
-    gemm_right_into(alpha, a, s, beta, c);
 }
 
 #[cfg(test)]
