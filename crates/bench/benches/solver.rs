@@ -14,7 +14,7 @@ use performa_core::ClusterModel;
 use performa_dist::{Exponential, TruncatedPowerTail};
 use performa_linalg::{spectral, Matrix};
 use performa_markov::{aggregate, ServerModel};
-use performa_qbd::{Qbd, SolveOptions};
+use performa_qbd::{GStrategy, Qbd, SolveOptions};
 
 fn tpt_server(t: u32) -> ServerModel {
     let up = Exponential::with_mean(90.0).unwrap().to_matrix_exp();
@@ -116,7 +116,15 @@ fn bench_g_algorithms(c: &mut Criterion) {
         // reduction), which makes the point without stalling the suite.
         if t <= 5 {
             g.bench_with_input(BenchmarkId::new("functional_iteration", t), &qbd, |b, q| {
-                b.iter(|| black_box(q.g_matrix_functional(1e-10, 1_000_000).unwrap()))
+                let opts = SolveOptions::default()
+                    .with_tolerance(1e-10)
+                    .with_max_iterations(1_000_000);
+                b.iter(|| {
+                    black_box(
+                        q.g_matrix_by(GStrategy::FunctionalIteration, opts.clone())
+                            .unwrap(),
+                    )
+                })
             });
         }
     }

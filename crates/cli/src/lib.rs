@@ -115,6 +115,8 @@ RESILIENCE OPTIONS (solve, simulate and sweep):
                          per-point deadlines (expensive-looking points get
                          more, with a floor) and on exhaustion the run
                          exits 40 with every completed point flushed
+
+SOLVER LADDER OPTIONS (solve only; sweep points use the default ladder):
   --max-iter N           cap the iteration budget of every solver stage
   --fallback LIST        comma-separated G-matrix strategy chain, tried in
                          order: neuts|functional|logred

@@ -46,8 +46,8 @@ pub enum CoreError {
     /// point is *not* persisted as a failure — a resumed run re-solves
     /// it from scratch.
     Cancelled,
-    /// The point tripped its per-point deadline twice (cold solve and
-    /// hardened retry) and was persisted as a quarantined failure so a
+    /// The point tripped its per-point deadline twice (first attempt
+    /// and the retry under a fresh deadline) and was persisted as a quarantined failure so a
     /// resumed run will not re-block a pool thread on it.
     Quarantined {
         /// What the point was doing when each deadline expired.

@@ -23,9 +23,11 @@
 //!   QBD), closing the gap to the physical multi-processor system,
 //! * [`FiniteBufferCluster`] — the ME/MMPP/1/K finite-dispatcher-queue
 //!   variant with loss probabilities,
-//! * [`ClusterModel::solve_supervised`] — the resilient solver entry
-//!   point: a fallback chain of G-matrix strategies with numerical
-//!   watchdogs, returning a structured [`SolveReport`].
+//! * [`ClusterModel::solve_supervised`] — the one solver entry point
+//!   (also behind [`ClusterModel::solve`] and the sweep engine): a
+//!   fallback chain of G-matrix strategies with numerical watchdogs,
+//!   whose first rung is the plain logarithmic reduction, returning a
+//!   structured [`SolveReport`].
 //!
 //! # Quickstart: reproducing a point of the paper's Figure 1
 //!

@@ -197,22 +197,16 @@ impl ClusterModel {
         )?)
     }
 
-    /// Solves the model exactly.
+    /// Solves the model exactly: [`ClusterModel::solve_supervised`] with
+    /// [`SupervisorOptions::default`], report dropped. Its first rung is
+    /// the plain logarithmic-reduction solve, bit for bit.
     ///
     /// # Errors
     ///
     /// [`CoreError::Unstable`] when `λ ≥ ν̄`; otherwise solver failures
     /// from the QBD layer.
     pub fn solve(&self) -> Result<ClusterSolution> {
-        if self.lambda >= self.capacity() {
-            return Err(CoreError::Unstable {
-                lambda: self.lambda,
-                capacity: self.capacity(),
-            });
-        }
-        let qbd = self.to_qbd()?;
-        let sol = qbd.solve()?;
-        Ok(ClusterSolution::new(self.clone(), sol))
+        Ok(self.solve_supervised(SupervisorOptions::default())?.0)
     }
 
     /// Solves the model through the resilient [`SolverSupervisor`]:
@@ -558,6 +552,7 @@ mod tests {
 
     #[test]
     fn unstable_load_rejected_at_solve() {
+        // `solve` is `solve_supervised` with default options.
         let m = paper_model(0.5).with_arrival_rate(5.0).unwrap();
         assert!(matches!(m.solve(), Err(CoreError::Unstable { .. })));
     }
@@ -589,20 +584,16 @@ mod tests {
     #[test]
     fn supervised_solve_matches_plain_solve() {
         let m = paper_model(0.5);
-        let plain = m.solve().unwrap();
+        let (plain, _) = m
+            .to_qbd()
+            .unwrap()
+            .solve_with_count(performa_qbd::SolveOptions::default())
+            .unwrap();
         let (sup, report) = m.solve_supervised(SupervisorOptions::default()).unwrap();
-        assert!((plain.mean_queue_length() - sup.mean_queue_length()).abs() < 1e-9);
+        assert_eq!(sup.qbd().g_matrix().as_slice(), plain.g_matrix().as_slice());
+        assert_eq!(sup.qbd().pi1().as_slice(), plain.pi1().as_slice());
         assert!(!report.degraded);
         assert!(report.residual.is_finite() && report.residual < 1e-8);
-    }
-
-    #[test]
-    fn supervised_solve_rejects_unstable_load() {
-        let m = paper_model(0.5).with_arrival_rate(5.0).unwrap();
-        assert!(matches!(
-            m.solve_supervised(SupervisorOptions::default()),
-            Err(CoreError::Unstable { .. })
-        ));
     }
 
     #[test]

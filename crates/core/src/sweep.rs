@@ -22,10 +22,11 @@
 //!
 //! # Determinism
 //!
-//! With the default [`SweepOptions`] the engine is **bit-identical** to
-//! the serial loop `for x { model_at(x).solve() }`: each point is an
-//! independent plain [`ClusterModel::solve`] (the cached modulator is
-//! built by the same deterministic construction it replaces), and
+//! The engine is **bit-identical** to the serial loop
+//! `for x { model_at(x).solve() }`: each point is an independent
+//! [`SolverSupervisor`] solve with [`SupervisorOptions::default`] —
+//! exactly what [`ClusterModel::solve`] runs (the cached modulator is
+//! built by the same deterministic construction it replaces) — and
 //! results are stored by index.
 //!
 //! # Example
@@ -60,7 +61,7 @@ use performa_dist::{Dist, Moments, TruncatedPowerTail};
 use performa_linalg::{Matrix, Vector};
 use performa_markov::Mmpp;
 use performa_qbd::{
-    Qbd, QbdError, QbdSolution, SolveOptions, SolverSupervisor, SupervisorOptions, SOLVER_VERSION,
+    Qbd, QbdError, QbdSolution, SolverSupervisor, SupervisorOptions, SOLVER_VERSION,
 };
 use performa_store::{PointKey, PointRecord, StoreHandle};
 
@@ -257,7 +258,10 @@ impl Scenario {
     }
 }
 
-/// Execution knobs of a [`SweepPlan`].
+/// Execution knobs of a [`SweepPlan`]. None of them changes how a
+/// point is solved: every point runs the [`SolverSupervisor`] with
+/// [`SupervisorOptions::default`], like [`ClusterModel::solve`]; the
+/// knobs set parallelism, persistence and interrupts.
 ///
 /// Marked `#[non_exhaustive]`: construct with [`SweepOptions::default`]
 /// and the `with_*` builders so new knobs can be added without breaking
@@ -268,12 +272,6 @@ pub struct SweepOptions {
     /// Worker threads; `0` means all available parallelism. The thread
     /// count never changes results — collection is index-ordered.
     pub threads: usize,
-    /// Solve each point through the resilient [`SolverSupervisor`]
-    /// instead of the plain default-tolerance solve. `None` (default)
-    /// keeps the plain path, which is what the paper figures use —
-    /// the supervisor's relaxed acceptance and `G` renormalization are
-    /// not bit-identical to [`ClusterModel::solve`].
-    pub supervisor: Option<SupervisorOptions>,
     /// Durable result store. When set, the pool consults the store
     /// before solving each point (a hit replays the persisted solution
     /// bit-identically via [`performa_qbd::QbdSolution::from_parts`])
@@ -300,7 +298,7 @@ pub struct SweepOptions {
     /// returns partial results.
     pub run_budget: Option<Duration>,
     /// Fixed per-point deadline. A point that trips it twice — the
-    /// cold attempt and one hardened retry under a fresh deadline — is
+    /// first supervised attempt and one retry under a fresh deadline — is
     /// persisted as a *quarantined* failure ([`CoreError::Quarantined`])
     /// so a resumed run replays the failure instead of re-blocking a
     /// pool thread on it. Combined with `run_budget`, the tighter of
@@ -323,13 +321,6 @@ impl SweepOptions {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Routes every point through the resilient supervisor.
-    #[must_use]
-    pub fn with_supervisor(mut self, supervisor: SupervisorOptions) -> Self {
-        self.supervisor = Some(supervisor);
         self
     }
 
@@ -560,12 +551,6 @@ impl SweepPlan {
             let mut cost = PointCost::default();
             let outcome = ctx.solve_point(point, i, &mut cost);
             cost.elapsed = started.elapsed();
-            if outcome.is_ok() && cost.source != CostSource::Store {
-                // Feed the budget's cost EWMA with real solve times only
-                // — store replays are microseconds and say nothing about
-                // what an unsolved point will cost.
-                ctx.record_budget(cost.elapsed);
-            }
             ctx.record_cost(i, cost);
             let sol = outcome?;
             Ok(f(&sol))
@@ -693,17 +678,6 @@ fn effective_threads(requested: usize, points: usize) -> usize {
     requested.clamp(1, points.max(1))
 }
 
-/// Solver failures that earn the one hardened retry of the ladder:
-/// numerical breakdowns and exhausted iteration budgets. Everything
-/// else (bad blocks, instability, deadlines) retries identically and
-/// is not worth a second attempt.
-fn retryable(e: &QbdError) -> bool {
-    matches!(
-        e,
-        QbdError::NumericalBreakdown { .. } | QbdError::NoConvergence { .. }
-    )
-}
-
 /// The persisted failure class of a point error — `None` for
 /// deterministic model-level errors (bad parameters, instability),
 /// which recompute for free and never enter the store log, and for
@@ -715,6 +689,7 @@ fn failure_kind(e: &CoreError) -> Option<&'static str> {
         CoreError::Qbd(QbdError::NoConvergence { .. }) => Some("no_convergence"),
         CoreError::Qbd(QbdError::DeadlineExceeded { .. }) => Some("deadline_exceeded"),
         CoreError::Qbd(QbdError::Linalg(_)) => Some("linalg"),
+        CoreError::Qbd(QbdError::InvalidRateMatrix { .. }) => Some("invalid_rate_matrix"),
         CoreError::Quarantined { .. } => Some("quarantined"),
         _ => None,
     }
@@ -778,7 +753,9 @@ impl<'a> ExecContext<'a> {
         costs[i] = cost;
     }
 
-    /// Feeds one real solve duration into the budget's cost EWMA.
+    /// Feeds one real solve duration into the budget's cost EWMA —
+    /// never a store replay, which takes microseconds and says nothing
+    /// about what an unsolved point will cost.
     fn record_budget(&self, elapsed: Duration) {
         if let Some(budget) = &self.budget {
             budget.record(elapsed);
@@ -853,7 +830,7 @@ impl<'a> ExecContext<'a> {
     }
 
     /// Counts and reports a quarantined point: the per-point deadline
-    /// tripped on both the first attempt and the hardened retry.
+    /// tripped on both the first attempt and the retry.
     fn quarantine(&self, x: f64, first: &QbdError, second: &QbdError) -> CoreError {
         self.quarantined.fetch_add(1, Ordering::Relaxed);
         performa_obs::counter_add("sweep.quarantined", 1);
@@ -863,7 +840,7 @@ impl<'a> ExecContext<'a> {
             vec![("axis", self.plan.label.into()), ("x", x.into())],
         );
         CoreError::Quarantined {
-            message: format!("first attempt: {first}; hardened retry: {second}"),
+            message: format!("first attempt: {first}; retry: {second}"),
         }
     }
 
@@ -891,9 +868,8 @@ impl<'a> ExecContext<'a> {
 
     /// Solves one point: the durable store first (a hit replays the
     /// persisted solution without touching the solver), then modulator
-    /// (cached) and `G`/`R`/boundary via the supervisor or the plain
-    /// bit-identical default path; fresh outcomes are appended
-    /// back to the store.
+    /// (cached) and `G`/`R`/boundary via the supervisor; fresh outcomes
+    /// are appended back to the store.
     fn solve_point(
         &self,
         point: &PlanPoint,
@@ -925,13 +901,11 @@ impl<'a> ExecContext<'a> {
         match store.get(&key) {
             Some(PointRecord::Solved { m, pi0, pi1, r, g }) => {
                 self.store_hits.fetch_add(1, Ordering::Relaxed);
-                cost.source = CostSource::Store;
                 cost.strategy = "replay";
                 self.replay_solved(model, m as usize, pi0, pi1, r, g)
             }
             Some(PointRecord::Failed { kind, message }) if !self.plan.options.retry_failed => {
                 self.store_hits.fetch_add(1, Ordering::Relaxed);
-                cost.source = CostSource::Store;
                 cost.strategy = "replay";
                 Err(CoreError::ReplayedFailure { kind, message })
             }
@@ -1015,12 +989,11 @@ impl<'a> ExecContext<'a> {
         Ok(())
     }
 
-    /// The pre-store solve path: modulator (cached), then supervisor
-    /// or the plain cold solve with its bounded
-    /// retry-with-hardening ladder. Per-point deadlines and the cancel
-    /// token are threaded into whichever solver runs; a point that
-    /// trips its deadline twice (first attempt + hardened retry under a
-    /// fresh allotment) is quarantined.
+    /// The pre-store solve path: modulator (cached), then the
+    /// supervisor with the per-point deadline and the cancel token
+    /// threaded in. A deadline trip earns one retry under a fresh
+    /// allotment (the first may have been starved by a noisy EWMA or a
+    /// contended pool); a second trip quarantines the point.
     fn solve_point_fresh(
         &self,
         point: &PlanPoint,
@@ -1028,111 +1001,63 @@ impl<'a> ExecContext<'a> {
         index: usize,
         cost: &mut PointCost,
     ) -> Result<ClusterSolution> {
+        let started = Instant::now();
         let mmpp = self.modulator(point, model)?;
         let qbd = Qbd::m_mmpp1(model.arrival_rate(), mmpp.generator(), mmpp.rates())?;
-        let cancel = self.plan.options.cancel.clone();
-        let deadline = self.point_deadline(index)?;
-
-        if let Some(sup) = &self.plan.options.supervisor {
-            cost.source = CostSource::Supervisor;
-            let attempt = |deadline: Option<Instant>,
-                           cost: &mut PointCost|
-             -> Result<ClusterSolution> {
-                let mut opts = sup.clone();
-                if let Some(token) = cancel.clone() {
-                    opts = opts.with_cancel(token);
-                }
-                if let Some(d) = deadline {
-                    let grant = d.saturating_duration_since(Instant::now());
-                    opts.deadline = Some(opts.deadline.map_or(grant, |user| user.min(grant)));
-                }
-                let (sol, report) = SolverSupervisor::with_options(qbd.clone(), opts).solve()?;
-                cost.strategy = report.strategy.key();
-                cost.iterations += report.total_iterations as u64;
-                Ok(ClusterSolution::new(model.clone(), sol))
+        let attempt = |deadline: Option<Instant>, cost: &mut PointCost| {
+            let opts = SupervisorOptions {
+                cancel: self.plan.options.cancel.clone(),
+                deadline: deadline.map(|d| d.saturating_duration_since(Instant::now())),
+                ..SupervisorOptions::default()
             };
-            return match attempt(deadline, cost) {
-                Err(CoreError::Qbd(QbdError::Cancelled { .. })) => Err(CoreError::Cancelled),
-                Err(CoreError::Qbd(first @ QbdError::DeadlineExceeded { .. }))
-                    if deadline.is_some() =>
-                {
-                    // The supervisor already escalates hardening
-                    // internally; the retry's value is the fresh
-                    // allotment (the first one may have been starved by
-                    // a noisy EWMA or a contended pool).
-                    match attempt(self.point_deadline(index)?, cost) {
-                        Err(CoreError::Qbd(ref second @ QbdError::DeadlineExceeded { .. })) => {
-                            Err(self.quarantine(point.x, &first, second))
-                        }
-                        Err(CoreError::Qbd(QbdError::Cancelled { .. })) => {
-                            Err(CoreError::Cancelled)
-                        }
-                        other => other,
-                    }
+            let solved = SolverSupervisor::with_options(qbd.clone(), opts).solve();
+            match &solved {
+                Ok((_, report)) => {
+                    cost.strategy = report.strategy.key();
+                    cost.iterations += report.total_iterations as u64;
                 }
-                other => other,
-            };
-        }
-
-        // Cold path — exactly `ClusterModel::solve`'s solver invocation.
-        // A numerical failure earns one retry with the hardened option
-        // set before the error is allowed to stand: near the blow-up
-        // thresholds the default-tolerance solve occasionally breaks
-        // down where the hardened schedule still converges. The retry
-        // can only turn an error into a solution, so bit-identity of
-        // successful points is unaffected.
-        cost.source = CostSource::Cold;
-        cost.strategy = "logred";
-        let interruptible = |mut opts: SolveOptions, deadline: Option<Instant>| {
-            opts.deadline = deadline;
-            opts.cancel = cancel.clone();
-            opts
-        };
-        let sol = match qbd.solve_with_count(interruptible(SolveOptions::default(), deadline)) {
-            Ok((sol, iters)) => {
-                cost.iterations = iters as u64;
-                sol
+                Err(QbdError::NoConvergence { iterations, .. }) => {
+                    cost.iterations += *iterations as u64;
+                }
+                Err(_) => {}
             }
-            Err(QbdError::Cancelled { .. }) => return Err(CoreError::Cancelled),
+            solved
+        };
+        let deadline = self.point_deadline(index)?;
+        let solved = match attempt(deadline, cost) {
             Err(first @ QbdError::DeadlineExceeded { .. }) if deadline.is_some() => {
-                // First deadline trip: one hardened retry under a fresh
-                // allotment. A second trip quarantines the point — it
-                // is persisted as a failure so a resumed run does not
-                // re-block a pool thread on it.
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                performa_obs::counter_add("sweep.retry", 1);
-                cost.source = CostSource::Retry;
-                let retry_deadline = self.point_deadline(index)?;
-                match qbd.solve_with_count(interruptible(SolveOptions::hardened(), retry_deadline))
-                {
-                    Ok((sol, iters)) => {
-                        cost.iterations += iters as u64;
-                        sol
-                    }
-                    Err(QbdError::Cancelled { .. }) => return Err(CoreError::Cancelled),
+                self.count_retry();
+                match attempt(self.point_deadline(index)?, cost) {
                     Err(ref second @ QbdError::DeadlineExceeded { .. }) => {
                         return Err(self.quarantine(point.x, &first, second))
                     }
-                    Err(second) => return Err(second.into()),
+                    other => other,
                 }
             }
-            Err(e) if retryable(&e) => {
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                performa_obs::counter_add("sweep.retry", 1);
-                cost.source = CostSource::Retry;
-                let retry_deadline = self.point_deadline(index)?;
-                let (sol, iters) = qbd
-                    .solve_with_count(interruptible(SolveOptions::hardened(), retry_deadline))
-                    .map_err(|e| match e {
-                        QbdError::Cancelled { .. } => CoreError::Cancelled,
-                        other => other.into(),
-                    })?;
-                cost.iterations = iters as u64;
-                sol
+            other => {
+                // More than one ladder attempt, an exhausted ladder
+                // included, is a retry.
+                if matches!(&other, Ok((_, r)) if r.attempts.len() > 1)
+                    || matches!(other, Err(QbdError::NoConvergence { .. }))
+                {
+                    self.count_retry();
+                }
+                other
             }
-            Err(e) => return Err(e.into()),
         };
-        Ok(ClusterSolution::new(model.clone(), sol))
+        match solved {
+            Ok((sol, _)) => {
+                self.record_budget(started.elapsed());
+                Ok(ClusterSolution::new(model.clone(), sol))
+            }
+            Err(QbdError::Cancelled { .. }) => Err(CoreError::Cancelled),
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    fn count_retry(&self) {
+        self.retries.fetch_add(1, Ordering::Relaxed);
+        performa_obs::counter_add("sweep.retry", 1);
     }
 
     /// Assembles the ordered results and the run statistics, flushes
@@ -1188,52 +1113,19 @@ impl<'a> ExecContext<'a> {
     }
 }
 
-/// Which solve path produced (or failed to produce) a point's result —
-/// together with [`PointCost::iterations`] the feature inputs for an
-/// adaptive sweep scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CostSource {
-    /// No solver ran: model-level error, or an analytic
-    /// [`SweepPlan::map_models`] pass.
-    #[default]
-    Skipped,
-    /// Replayed bit-exactly from the durable result store.
-    Store,
-    /// Cold solve on the default path (logarithmic reduction).
-    Cold,
-    /// Cold solve that needed the hardened retry of the ladder.
-    Retry,
-    /// Solved through the supervisor fallback chain.
-    Supervisor,
-}
-
-impl CostSource {
-    /// Short stable label (`store`, `cold`, `retry`,
-    /// `supervisor`, `skipped`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            CostSource::Skipped => "skipped",
-            CostSource::Store => "store",
-            CostSource::Cold => "cold",
-            CostSource::Retry => "retry",
-            CostSource::Supervisor => "supervisor",
-        }
-    }
-}
-
-/// Per-point solve cost record: wall clock, solver iterations, the
-/// `G`-strategy used and the path the result came from.
+/// Per-point solve cost record: wall clock, solver iterations and the
+/// `G`-strategy used — the feature inputs for an adaptive sweep
+/// scheduler.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PointCost {
     /// Wall clock spent on this point (including store/cache work).
     pub elapsed: Duration,
     /// Solver `G`-stage iterations (0 for replayed or analytic points).
     pub iterations: u64,
-    /// `G`-strategy key (`logred`, `neuts`, `functional`, `replay`, or
-    /// empty when no solver ran).
+    /// `G`-strategy key of the accepted supervisor rung (`logred`,
+    /// `neuts`, `functional`), `replay` for a store replay, or empty
+    /// when no solver ran or it failed.
     pub strategy: &'static str,
-    /// The path that produced the outcome.
-    pub source: CostSource,
 }
 
 /// One executed grid point: its coordinate, the typed outcome and the
@@ -1263,7 +1155,7 @@ pub struct SweepStats {
     /// persisted — a resumed run re-solves exactly this gap.
     pub cancelled: usize,
     /// Points quarantined by this run: the per-point deadline tripped
-    /// on both the first attempt and the hardened retry, and the
+    /// on both the first attempt and the retry, and the
     /// failure was persisted so a resume replays it instead of
     /// re-blocking a pool thread (a subset of `failed`).
     pub quarantined: usize,
@@ -1276,7 +1168,9 @@ pub struct SweepStats {
     pub store_hits: u64,
     /// Fresh outcomes appended to the durable result store.
     pub store_appends: u64,
-    /// Cold solves that took the hardened retry of the ladder.
+    /// Points whose solve needed more than one supervisor ladder
+    /// attempt (an exhausted ladder included) or a second deadline
+    /// grant.
     pub retries: u64,
     /// Summed solver `G`-stage iterations across all points.
     pub total_iterations: u64,

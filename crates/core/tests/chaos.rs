@@ -223,7 +223,7 @@ mod faults {
         // The fresh point's solver stalls forever (global plan: the
         // sweep pool's workers are fresh threads) and its per-point
         // deadline is already expired — both the first attempt and the
-        // hardened retry must trip, quarantining the point.
+        // retry under a fresh deadline must trip, quarantining the point.
         let trace = Trace::attach("quarantine");
         let stall = qbd_fault::arm_global(qbd_fault::FaultPlan {
             stall: Some("logred"),

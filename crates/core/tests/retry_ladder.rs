@@ -1,6 +1,7 @@
-//! Retry-ladder coverage via fault injection: a poisoned cold solve
-//! recovers through the one hardened retry, a stalled solver exhausts
-//! the ladder and persists a typed failure record.
+//! Recovery-ladder coverage of the sweep engine via fault injection: a
+//! poisoned first rung recovers through the supervisor's hardened
+//! retry, and a solver stalled in every stage exhausts the ladder and
+//! persists a typed failure record.
 //!
 //! The injected plans are process-wide (`arm_global`) because sweep
 //! pool workers are fresh threads; the tests serialize on a local lock
@@ -66,8 +67,9 @@ fn poisoned_cold_solve_recovers_via_the_hardened_retry() {
         .run_map(|s| s.mean_queue_length())
         .expect_values("baseline")[0];
 
-    // One-shot poison: the plain attempt hits a NaN watchdog
-    // (NumericalBreakdown); the hardened retry runs unpoisoned.
+    // One-shot poison: the plain first rung hits a NaN watchdog
+    // (NumericalBreakdown); the supervisor's hardened retry of the same
+    // stage runs unpoisoned.
     let _armed = arm_global(FaultPlan {
         poison: Some(("logred", 1)),
         stall: None,
@@ -96,11 +98,11 @@ fn stalled_solver_exhausts_the_ladder_and_persists_the_failure() {
     };
 
     {
-        // Persistent stall: the plain attempt *and* the hardened retry
-        // both burn their iteration budgets.
+        // Persistent stall of every stage: each rung of the ladder, at
+        // every tolerance level, burns its iteration budget.
         let _armed = arm_global(FaultPlan {
             poison: None,
-            stall: Some("logred"),
+            stall: Some("*"),
         });
         let result = one_point_plan()
             .with_options(open())

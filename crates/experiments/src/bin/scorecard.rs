@@ -208,7 +208,7 @@ fn main() {
                 std::collections::BTreeMap::new();
             let mut time_s = 0.0f64;
             for p in result.points() {
-                *mix.entry(p.cost.source.label()).or_insert(0) += 1;
+                *mix.entry(p.cost.strategy).or_insert(0) += 1;
                 time_s += p.cost.elapsed.as_secs_f64();
             }
             let mix: Vec<String> = mix.iter().map(|(k, v)| format!("{k}:{v}")).collect();

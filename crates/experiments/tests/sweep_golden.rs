@@ -100,3 +100,66 @@ fn fig5_availability_builder_matches_pre_engine_serial_loop() {
         }
     }
 }
+
+/// The G, π0 and π1 bit patterns of one solution.
+fn solution_bits(sol: &performa_qbd::QbdSolution) -> Vec<u64> {
+    [
+        sol.g_matrix().as_slice(),
+        sol.pi0().as_slice(),
+        sol.pi1().as_slice(),
+    ]
+    .concat()
+    .into_iter()
+    .map(f64::to_bits)
+    .collect()
+}
+
+#[test]
+fn supervised_engine_matches_the_plain_solve_over_the_fig_sweep_grid() {
+    // The benchmark's fig_sweep grid (Figs. 1/3 at T = 1, 5, 9, 10 and
+    // the Fig. 5 availability sweep): every point runs the supervisor,
+    // whose first rung must reproduce the unsupervised plain solve bit
+    // for bit.
+    let grid = SweepPlan::grid(0.02, 0.98, 48)
+        .refine_near(&base_thresholds())
+        .into_values();
+    let mut plans: Vec<SweepPlan> = [1, 5, 9, 10]
+        .into_iter()
+        .map(|t| Scenario::new(tpt_cluster(t, 0.5), Axis::Rho(grid.clone())).compile())
+        .collect();
+    let (t, cycle, lambda) = (10, 100.0, 1.8);
+    let probe = hyp2_cluster_with_availability(t, cycle, 0.9, lambda);
+    let a_min = performa_core::blowup::stability_availability_bound(&probe);
+    let steps = 60;
+    let availability: Vec<f64> = (0..=steps)
+        .map(|i| a_min + 0.004 + (0.999 - a_min - 0.004) * f64::from(i) / f64::from(steps))
+        .collect();
+    plans.push(SweepPlan::from_builder(
+        "availability",
+        availability,
+        move |a| Ok(hyp2_cluster_with_availability(t, cycle, a, lambda)),
+    ));
+
+    let mut points = 0;
+    for plan in plans {
+        let plan = plan.with_options(SweepOptions::default().with_threads(2));
+        let result = plan.run_map(|sol| (sol.model().clone(), solution_bits(sol.qbd())));
+        assert_eq!(
+            result.stats().retries,
+            0,
+            "{}: a rung beyond the first fired",
+            plan.label()
+        );
+        for point in result.into_points() {
+            let (model, engine) = point.outcome.expect("every fig_sweep point is stable");
+            let (plain, _) = model
+                .to_qbd()
+                .unwrap()
+                .solve_with_count(performa_qbd::SolveOptions::default())
+                .unwrap();
+            assert_eq!(engine, solution_bits(&plain), "x = {}", point.x);
+            points += 1;
+        }
+    }
+    assert_eq!(points, 289);
+}

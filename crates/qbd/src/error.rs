@@ -57,6 +57,13 @@ pub enum QbdError {
         /// Iterations completed across all attempted stages.
         iterations: usize,
     },
+    /// `R` is not the rate matrix of a positive-recurrent chain: the
+    /// geometric sum `(I−R)⁻¹·ε`, whose entries are all ≥ 1 for a valid
+    /// `R`, has a negative or non-finite entry.
+    InvalidRateMatrix {
+        /// The offending entry of `(I−R)⁻¹·ε`.
+        entry: f64,
+    },
     /// An underlying linear-algebra operation failed.
     Linalg(performa_linalg::LinalgError),
 }
@@ -91,6 +98,10 @@ impl fmt::Display for QbdError {
             QbdError::Cancelled { stage, iterations } => write!(
                 f,
                 "cancelled in {stage} after {iterations} iterations"
+            ),
+            QbdError::InvalidRateMatrix { entry } => write!(
+                f,
+                "R is not a positive-recurrent rate matrix: (I-R)^-1 e has entry {entry:.3e}"
             ),
             QbdError::Linalg(e) => write!(f, "linear algebra failure: {e}"),
         }

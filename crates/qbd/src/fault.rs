@@ -14,7 +14,8 @@
 //!   deadline set, report `DeadlineExceeded`).
 //!
 //! Stage keys are `"neuts"`, `"functional"` and `"logred"` (see
-//! [`crate::GStrategy::key`]).
+//! [`crate::GStrategy::key`]); a stall key of `"*"` stalls every stage,
+//! exhausting the whole ladder.
 
 #[cfg(feature = "fault-injection")]
 mod imp {
@@ -28,8 +29,8 @@ mod imp {
         /// Overwrite entry `(0, 0)` of the iterate with NaN when the
         /// named stage reaches the given iteration.
         pub poison: Option<(&'static str, usize)>,
-        /// Suppress the convergence test of the named stage so it always
-        /// exhausts its iteration budget.
+        /// Suppress the convergence test of the named stage (`"*"`: of
+        /// every stage) so it always exhausts its iteration budget.
         pub stall: Option<&'static str>,
     }
 
@@ -133,7 +134,7 @@ mod imp {
         let local = PLAN.with(|p| {
             matches!(
                 p.borrow().as_ref(),
-                Some(FaultPlan { stall: Some(s), .. }) if *s == stage
+                Some(FaultPlan { stall: Some(s), .. }) if *s == stage || *s == "*"
             )
         });
         if local {
@@ -144,7 +145,7 @@ mod imp {
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .as_ref(),
-            Some(FaultPlan { stall: Some(s), .. }) if *s == stage
+            Some(FaultPlan { stall: Some(s), .. }) if *s == stage || *s == "*"
         )
     }
 }

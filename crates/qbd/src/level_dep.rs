@@ -1,6 +1,5 @@
 use performa_linalg::{lu::Lu, spectral, Matrix, Vector};
 
-use crate::qbd::SolveOptions;
 use crate::workspace::{self, gemm};
 use crate::{Qbd, QbdError, Result};
 
@@ -176,25 +175,19 @@ impl LevelDependentQbd {
         let m = self.phase_dim();
         let k = self.boundary_levels();
 
-        // R from the homogeneous part. Reuse Qbd machinery with dummy
-        // boundary blocks (they do not affect G/R).
-        let proxy = Qbd::new(
+        // R from the homogeneous part, through the supervised solve of a
+        // proxy QBD with dummy boundary blocks (they do not affect G/R).
+        let r = Qbd::new(
             self.a0.clone(),
             self.a1.clone(),
             self.a2.clone(),
             &self.a1 + &self.a2,
             self.a0.clone(),
             self.a2.clone(),
-        )?;
-        let (up_rate, down_rate) = proxy.drift()?;
-        if up_rate >= down_rate {
-            return Err(QbdError::Unstable {
-                up_rate,
-                down_rate,
-            });
-        }
-        let g = proxy.g_matrix(SolveOptions::default())?;
-        let r = proxy.r_from_g(&g)?;
+        )?
+        .solve()?
+        .r_matrix()
+        .clone();
 
         // geo_eps = (I−R)⁻¹·ε and A1 + R·A2, via the thread workspace
         // (the G solve above has already warmed it at this dimension).

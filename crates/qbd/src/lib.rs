@@ -18,11 +18,13 @@
 //! computes the paper's performability metrics: mean queue length,
 //! queue-length tail probabilities `Pr(Q > k)` and the full pmf.
 //!
-//! * [`Qbd`] — model definition + [`Qbd::solve`] via logarithmic reduction,
+//! * [`Qbd`] — model definition + [`Qbd::solve`], which runs the
+//!   supervisor below with default options,
 //! * [`SolverSupervisor`] — resilient solves: a configurable G-matrix
 //!   fallback chain (logarithmic reduction → Neuts substitution →
 //!   functional iteration) with NaN/Inf watchdogs, reported tolerance
-//!   relaxation, condition-number surveillance and a [`SolveReport`],
+//!   relaxation, condition-number surveillance and a [`SolveReport`];
+//!   its first rung is the plain logarithmic reduction, bit for bit,
 //! * [`QbdSolution`] — the stationary law and derived metrics,
 //! * [`LevelDependentQbd`] — finitely many inhomogeneous boundary levels
 //!   (used for the load-dependent cluster variant of paper Sect. 2.4),
@@ -71,7 +73,7 @@ pub mod mm1;
 pub use error::QbdError;
 pub use finite::{FiniteQbd, FiniteSolution};
 pub use level_dep::{LevelDependentQbd, LevelDependentSolution};
-pub use qbd::{DriftClass, Hardening, Qbd, SolveOptions};
+pub use qbd::{Hardening, Qbd, SolveOptions};
 pub use solution::QbdSolution;
 pub use supervisor::{
     GStrategy, SolveReport, SolveWarning, SolverSupervisor, StageAttempt, StageBudget,

@@ -10,7 +10,8 @@ use performa_linalg::{
 
 use crate::fault;
 use crate::solution::QbdSolution;
-use crate::workspace::{self, gemm};
+use crate::supervisor::{supervise, GStrategy, SupervisorOptions};
+use crate::workspace::{self, gemm, Workspace};
 use crate::{QbdError, Result};
 
 /// Tolerance for generator row-sum validation, scaled by the largest rate.
@@ -36,15 +37,6 @@ pub(crate) fn all_finite(m: &Matrix) -> bool {
     (0..m.nrows()).all(|i| m.row(i).iter().all(|v| v.is_finite()))
 }
 
-fn check_deadline(stage: &'static str, iterations: usize, deadline: Option<Instant>) -> Result<()> {
-    if let Some(d) = deadline {
-        if Instant::now() >= d {
-            return Err(QbdError::DeadlineExceeded { stage, iterations });
-        }
-    }
-    Ok(())
-}
-
 /// Combined interrupt check, run at the amortized [`CHECK_STRIDE`]: a
 /// tripped [`CancelToken`] wins over an expired deadline, so a Ctrl-C
 /// under a per-point deadline reports [`QbdError::Cancelled`] (the run
@@ -57,12 +49,12 @@ fn check_interrupt(
     cancel: Option<&CancelToken>,
 ) -> Result<()> {
     if cancel.is_some_and(CancelToken::is_cancelled) {
-        return Err(QbdError::Cancelled {
-            stage,
-            iterations,
-        });
+        return Err(QbdError::Cancelled { stage, iterations });
     }
-    check_deadline(stage, iterations, deadline)
+    if deadline.is_some_and(|d| Instant::now() >= d) {
+        return Err(QbdError::DeadlineExceeded { stage, iterations });
+    }
+    Ok(())
 }
 
 /// Per-iteration observability: residual gauge always (cheap no-op when
@@ -121,8 +113,7 @@ fn undo_shift(g: &mut Matrix, um: f64) {
 ///
 /// All off by default — the default path is bit-identical to the
 /// unhardened solver. The supervisor's recovery ladder escalates to
-/// [`Hardening::full`] when a stage breaks down or the drift
-/// classifier reports a near-null-recurrent chain.
+/// [`Hardening::full`] when a stage breaks down.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct Hardening {
@@ -148,12 +139,6 @@ pub struct Hardening {
 }
 
 impl Hardening {
-    /// No mitigations — identical to [`Hardening::default`], spelled as
-    /// a constructor for builder chains.
-    pub fn none() -> Self {
-        Hardening::default()
-    }
-
     /// Every mitigation enabled — the top rung of the recovery ladder.
     pub fn full() -> Self {
         Hardening {
@@ -161,27 +146,6 @@ impl Hardening {
             equilibrate: true,
             refine: true,
         }
-    }
-
-    /// The same hardening with the spectral shift set to `enabled`.
-    #[must_use]
-    pub fn with_shift(mut self, enabled: bool) -> Self {
-        self.shift = enabled;
-        self
-    }
-
-    /// The same hardening with LU equilibration set to `enabled`.
-    #[must_use]
-    pub fn with_equilibrate(mut self, enabled: bool) -> Self {
-        self.equilibrate = enabled;
-        self
-    }
-
-    /// The same hardening with iterative refinement set to `enabled`.
-    #[must_use]
-    pub fn with_refine(mut self, enabled: bool) -> Self {
-        self.refine = enabled;
-        self
     }
 
     /// `true` when any mitigation is enabled.
@@ -268,21 +232,9 @@ impl FromStr for Hardening {
     }
 }
 
-/// Drift classification of a QBD, produced by [`Qbd::classify_drift`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriftClass {
-    /// `ρ` comfortably below one: the default solver path suffices.
-    PositiveRecurrent,
-    /// `ρ` within the margin of one: recurrent, but the unit eigenvalue
-    /// of `A0+A1+A2` nearly collides with the decay eigenvalue and the
-    /// unshifted iterations lose their convergence rate — harden from
-    /// the start.
-    NearNullRecurrent,
-    /// `ρ ≥ 1`: no stationary distribution exists.
-    Unstable,
-}
-
-/// Options controlling the iterative stages of [`Qbd::solve`].
+/// Options controlling one `G`-matrix iteration ([`Qbd::g_matrix`],
+/// [`Qbd::g_matrix_by`]) and the unsupervised solve
+/// [`Qbd::solve_with_count`].
 ///
 /// `#[non_exhaustive]` — construct via [`SolveOptions::default`] (or
 /// [`SolveOptions::hardened`]) and the `with_*` builders, so new knobs
@@ -641,25 +593,6 @@ impl Qbd {
         Ok(up < down)
     }
 
-    /// Drift pre-check: classifies the chain by `ρ = φ·A0·ε / φ·A2·ε`,
-    /// with `margin` defining the near-null-recurrent band
-    /// `1 − margin < ρ < 1` where the unshifted `G` iterations lose
-    /// their convergence rate and hardening should be on from the start.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Qbd::drift`] errors.
-    pub fn classify_drift(&self, margin: f64) -> Result<DriftClass> {
-        let (up, down) = self.drift()?;
-        if up >= down {
-            Ok(DriftClass::Unstable)
-        } else if up > (1.0 - margin) * down {
-            Ok(DriftClass::NearNullRecurrent)
-        } else {
-            Ok(DriftClass::PositiveRecurrent)
-        }
-    }
-
     /// Recurrence gate for the spectral shift: the deflation assumes
     /// `Gε = ε`, which only holds for recurrent chains. A shifted solve
     /// on an unstable chain would silently converge to a wrong `G`, so
@@ -691,21 +624,49 @@ impl Qbd {
     /// [`QbdError::NoConvergence`] if the iteration cap is hit;
     /// [`QbdError::Linalg`] on singular intermediate systems.
     pub fn g_matrix(&self, opts: SolveOptions) -> Result<Matrix> {
-        Ok(self
-            .g_logred_counted(
-                opts.tolerance,
-                opts.max_iterations,
-                opts.deadline,
-                opts.cancel.as_ref(),
-                opts.hardening,
-            )?
-            .0)
+        Ok(self.g_matrix_by(GStrategy::LogarithmicReduction, opts)?.0)
+    }
+
+    /// Computes `G` with the chosen algorithm and returns it with the
+    /// iterations spent — the single entry point behind
+    /// [`Qbd::g_matrix`] and every rung of the [`crate::SolverSupervisor`].
+    ///
+    /// * [`GStrategy::LogarithmicReduction`] — quadratically convergent;
+    ///   see [`Qbd::g_matrix`].
+    /// * [`GStrategy::NeutsSubstitution`] — `G ← (−(A1 + A0·G))⁻¹·A2`
+    ///   from `G = 0`, linearly convergent and monotone. It honors
+    ///   equilibration but not the spectral shift (see
+    ///   [`Hardening::shift`]); with `shift` set it still enforces the
+    ///   recurrence gate.
+    /// * [`GStrategy::FunctionalIteration`] — `G ← (−A1)⁻¹(A2 + A0·G²)`,
+    ///   linearly convergent; the baseline of the solver ablation.
+    ///
+    /// # Errors
+    ///
+    /// [`QbdError::NoConvergence`] if the iteration cap is hit;
+    /// [`QbdError::NumericalBreakdown`] when the NaN/Inf watchdog trips;
+    /// [`QbdError::DeadlineExceeded`] / [`QbdError::Cancelled`] on an
+    /// interrupt; [`QbdError::Unstable`] when a shift is requested on an
+    /// unstable chain; [`QbdError::Linalg`] on singular systems.
+    pub fn g_matrix_by(&self, strategy: GStrategy, opts: SolveOptions) -> Result<(Matrix, usize)> {
+        let run = match strategy {
+            GStrategy::LogarithmicReduction => Qbd::g_logred_counted,
+            GStrategy::NeutsSubstitution => Qbd::g_neuts_counted,
+            GStrategy::FunctionalIteration => Qbd::g_functional_counted,
+        };
+        run(
+            self,
+            opts.tolerance,
+            opts.max_iterations,
+            opts.deadline,
+            opts.cancel.as_ref(),
+            opts.hardening,
+        )
     }
 
     /// Counted logarithmic reduction with NaN/Inf watchdog, optional
     /// wall-clock deadline, fault-injection hooks (stage key `"logred"`)
-    /// and [`Hardening`] mitigations. Backs both [`Qbd::g_matrix`] and
-    /// the supervisor.
+    /// and [`Hardening`] mitigations.
     ///
     /// With `hardening.shift` the recursion runs on the deflated blocks
     /// `(A0, Ã1, Ã2)` and converges to `Ĝ = G − εuᵀ`; the shift is
@@ -713,7 +674,7 @@ impl Qbd {
     /// quadratic convergence the unshifted recursion loses (`‖T‖` then
     /// stays O(1) instead of vanishing, so termination comes from the
     /// increment norm — already part of the convergence test).
-    pub(crate) fn g_logred_counted(
+    fn g_logred_counted(
         &self,
         tolerance: f64,
         max_iterations: usize,
@@ -724,39 +685,10 @@ impl Qbd {
         self.shift_gate(hardening)?;
         let m = self.phase_dim();
         let um = 1.0 / m as f64;
-        if hardening.shift {
-            performa_obs::counter_add("qbd.shift_applied", 1);
-        }
         workspace::with(m, |ws| {
-            // k1 = H = (−Ã1)⁻¹·A0 (up), k2 = L = (−Ã1)⁻¹·Ã2 (down);
-            // iterates x1 = G (seeded from L), x2 = T (seeded from H).
-            // Unshifted, Ã1 = A1 and Ã2 = A2.
-            ws.t1.copy_from(&self.a1);
-            ws.t1.scale_mut(-1.0);
-            if hardening.shift {
-                // −Ã1 = −A1 − (A0ε)uᵀ.
-                subtract_rank_one_rowsum(&mut ws.t1, &self.a0.row_sums(), um);
-            }
-            ws.lu.factor_with(&ws.t1, hardening.setup_factor())?;
-            let down_block = if hardening.shift {
-                // Ã2 = A2 − (A2ε)uᵀ, staged in t2 (free until the loop).
-                ws.t2.copy_from(&self.a2);
-                subtract_rank_one_rowsum(&mut ws.t2, &self.a2.row_sums(), um);
-                &ws.t2
-            } else {
-                &self.a2
-            };
-            if hardening.refine {
-                let s1 = ws.lu.solve_mat_refined_into(&self.a0, &mut ws.k1)?;
-                let s2 = ws.lu.solve_mat_refined_into(down_block, &mut ws.k2)?;
-                performa_obs::counter_add(
-                    "qbd.refine_iters",
-                    (s1.iterations + s2.iterations) as u64,
-                );
-            } else {
-                ws.lu.solve_mat_into(&self.a0, &mut ws.k1)?;
-                ws.lu.solve_mat_into(down_block, &mut ws.k2)?;
-            }
+            // k1 = H (up), k2 = L (down); iterates x1 = G (seeded from
+            // L), x2 = T (seeded from H).
+            self.shifted_setup(ws, hardening, um)?;
             ws.x1.copy_from(&ws.k2);
             ws.x2.copy_from(&ws.k1);
 
@@ -814,51 +746,43 @@ impl Qbd {
         })
     }
 
-    /// Computes `G` by plain functional iteration
-    /// `G ← (−A1)⁻¹(A2 + A0·G²)` — linearly convergent; kept as the
-    /// baseline for the solver-ablation benchmark.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Qbd::g_matrix`], with a larger default budget
-    /// needed in practice.
-    pub fn g_matrix_functional(&self, tolerance: f64, max_iterations: usize) -> Result<Matrix> {
-        Ok(self
-            .g_functional_counted(
-                tolerance,
-                max_iterations,
-                None,
-                None,
-                Hardening::default(),
-            )?
-            .0)
-    }
-
-    /// [`Qbd::g_matrix_functional`] with explicit [`SolveOptions`],
-    /// including hardening (shift + equilibration + refinement).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Qbd::g_matrix_functional`], plus
-    /// [`QbdError::Unstable`] when a shift is requested on an unstable
-    /// chain.
-    pub fn g_matrix_functional_with(&self, opts: SolveOptions) -> Result<Matrix> {
-        Ok(self
-            .g_functional_counted(
-                opts.tolerance,
-                opts.max_iterations,
-                opts.deadline,
-                opts.cancel.as_ref(),
-                opts.hardening,
-            )?
-            .0)
+    /// Setup shared by logarithmic reduction and functional iteration:
+    /// factors `−Ã1` into the workspace LU and leaves
+    /// `k1 = (−Ã1)⁻¹·A0` (up) and `k2 = (−Ã1)⁻¹·Ã2` (down). Under the
+    /// spectral shift `Ã1 = A1 + (A0ε)uᵀ` and `Ã2 = A2 − (A2ε)uᵀ`
+    /// (`u = ε/m`, `um = 1/m`); unshifted they are `A1` and `A2`.
+    fn shifted_setup(&self, ws: &mut Workspace, hardening: Hardening, um: f64) -> Result<()> {
+        ws.t1.copy_from(&self.a1);
+        ws.t1.scale_mut(-1.0);
+        if hardening.shift {
+            performa_obs::counter_add("qbd.shift_applied", 1);
+            subtract_rank_one_rowsum(&mut ws.t1, &self.a0.row_sums(), um);
+        }
+        ws.lu.factor_with(&ws.t1, hardening.setup_factor())?;
+        let down_block = if hardening.shift {
+            // Ã2 staged in t2 (free until the iteration starts).
+            ws.t2.copy_from(&self.a2);
+            subtract_rank_one_rowsum(&mut ws.t2, &self.a2.row_sums(), um);
+            &ws.t2
+        } else {
+            &self.a2
+        };
+        if hardening.refine {
+            let s1 = ws.lu.solve_mat_refined_into(&self.a0, &mut ws.k1)?;
+            let s2 = ws.lu.solve_mat_refined_into(down_block, &mut ws.k2)?;
+            performa_obs::counter_add("qbd.refine_iters", (s1.iterations + s2.iterations) as u64);
+        } else {
+            ws.lu.solve_mat_into(&self.a0, &mut ws.k1)?;
+            ws.lu.solve_mat_into(down_block, &mut ws.k2)?;
+        }
+        Ok(())
     }
 
     /// Counted functional iteration with watchdogs (stage key
     /// `"functional"`); see [`Qbd::g_logred_counted`]. The shift runs
     /// the iteration `Ĝ ← (−Ã1)⁻¹(Ã2 + A0·Ĝ²)` on the deflated blocks
     /// and undoes the shift on the result.
-    pub(crate) fn g_functional_counted(
+    fn g_functional_counted(
         &self,
         tolerance: f64,
         max_iterations: usize,
@@ -869,37 +793,10 @@ impl Qbd {
         self.shift_gate(hardening)?;
         let m = self.phase_dim();
         let um = 1.0 / m as f64;
-        if hardening.shift {
-            performa_obs::counter_add("qbd.shift_applied", 1);
-        }
         workspace::with(m, |ws| {
-            // k1 = base = (−Ã1)⁻¹·Ã2, k2 = up = (−Ã1)⁻¹·A0; iterate
-            // x1 = Ĝ seeded from base (Ã1 = A1, Ã2 = A2 unshifted).
-            ws.t1.copy_from(&self.a1);
-            ws.t1.scale_mut(-1.0);
-            if hardening.shift {
-                subtract_rank_one_rowsum(&mut ws.t1, &self.a0.row_sums(), um);
-            }
-            ws.lu.factor_with(&ws.t1, hardening.setup_factor())?;
-            let down_block = if hardening.shift {
-                ws.t2.copy_from(&self.a2);
-                subtract_rank_one_rowsum(&mut ws.t2, &self.a2.row_sums(), um);
-                &ws.t2
-            } else {
-                &self.a2
-            };
-            if hardening.refine {
-                let s1 = ws.lu.solve_mat_refined_into(down_block, &mut ws.k1)?;
-                let s2 = ws.lu.solve_mat_refined_into(&self.a0, &mut ws.k2)?;
-                performa_obs::counter_add(
-                    "qbd.refine_iters",
-                    (s1.iterations + s2.iterations) as u64,
-                );
-            } else {
-                ws.lu.solve_mat_into(down_block, &mut ws.k1)?;
-                ws.lu.solve_mat_into(&self.a0, &mut ws.k2)?;
-            }
-            ws.x1.copy_from(&ws.k1);
+            // k1 = up, k2 = base; iterate x1 = Ĝ seeded from base.
+            self.shifted_setup(ws, hardening, um)?;
+            ws.x1.copy_from(&ws.k2);
 
             let mut last_diff = f64::NAN;
             for it in 0..max_iterations {
@@ -909,8 +806,8 @@ impl Qbd {
                 }
                 // next = base + up·G² assembled in t2.
                 gemm(1.0, &ws.x1, &ws.x1, 0.0, &mut ws.t1);
-                ws.t2.copy_from(&ws.k1);
-                gemm(1.0, &ws.k2, &ws.t1, 1.0, &mut ws.t2);
+                ws.t2.copy_from(&ws.k2);
+                gemm(1.0, &ws.k1, &ws.t1, 1.0, &mut ws.t2);
                 fault::poison("functional", it, &mut ws.t2);
                 if checking {
                     if !all_finite(&ws.t2) {
@@ -944,49 +841,10 @@ impl Qbd {
         })
     }
 
-    /// Computes `G` by Neuts' successive substitution
-    /// `G ← (−(A1 + A0·G))⁻¹·A2`, starting from `G = 0` — the classical
-    /// matrix-analytic iteration. Linearly convergent but markedly faster
-    /// than plain functional iteration (each step re-solves against the
-    /// current `U = A1 + A0·G`), and it requires no spectral assumptions
-    /// beyond stability, which makes it the most forgiving opening stage
-    /// of the fallback chain.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Qbd::g_matrix`].
-    pub fn g_matrix_neuts(&self, tolerance: f64, max_iterations: usize) -> Result<Matrix> {
-        Ok(self
-            .g_neuts_counted(tolerance, max_iterations, None, None, Hardening::default())?
-            .0)
-    }
-
-    /// [`Qbd::g_matrix_neuts`] with explicit [`SolveOptions`]. Neuts
-    /// substitution honors equilibration but not the spectral shift
-    /// (see [`Hardening::shift`]); with `shift` set it still enforces
-    /// the recurrence gate.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Qbd::g_matrix_neuts`], plus
-    /// [`QbdError::Unstable`] when a shift is requested on an unstable
-    /// chain.
-    pub fn g_matrix_neuts_with(&self, opts: SolveOptions) -> Result<Matrix> {
-        Ok(self
-            .g_neuts_counted(
-                opts.tolerance,
-                opts.max_iterations,
-                opts.deadline,
-                opts.cancel.as_ref(),
-                opts.hardening,
-            )?
-            .0)
-    }
-
     /// Counted Neuts substitution with watchdogs (stage key `"neuts"`);
     /// see [`Qbd::g_logred_counted`]. Hardening applies equilibration to
     /// the per-iteration factorizations; the shift flag only gates.
-    pub(crate) fn g_neuts_counted(
+    fn g_neuts_counted(
         &self,
         tolerance: f64,
         max_iterations: usize,
@@ -1080,33 +938,31 @@ impl Qbd {
         })
     }
 
-    /// Full stationary solve with default options.
+    /// Full stationary solve through the [`crate::SolverSupervisor`] with
+    /// [`SupervisorOptions::default`]: `G` → `R` → boundary vectors
+    /// `(π₀, π₁)`. When the supervisor's first rung is accepted — every
+    /// paper configuration — the result is bit-identical to
+    /// [`Qbd::solve_with_count`] with [`SolveOptions::default`].
     ///
     /// # Errors
     ///
     /// * [`QbdError::Unstable`] when the drift condition fails.
-    /// * [`QbdError::NoConvergence`] / [`QbdError::Linalg`] from the inner
-    ///   stages.
+    /// * [`QbdError::NoConvergence`] when every rung of the ladder fails;
+    ///   [`QbdError::Linalg`] / [`QbdError::InvalidRateMatrix`] from the
+    ///   `R` and boundary stages.
     pub fn solve(&self) -> Result<QbdSolution> {
-        self.solve_with(SolveOptions::default())
+        Ok(supervise(self, &SupervisorOptions::default())?.0)
     }
 
-    /// Full stationary solve: `G` → `R` → boundary vectors `(π₀, π₁)`.
+    /// The unsupervised first rung of [`Qbd::solve`]: one logarithmic
+    /// reduction with `opts`, then `R` and the boundary system, with no
+    /// residual gate and no fallback. Returns the `G`-stage iteration
+    /// count alongside the solution. Kept for benchmarks that time the
+    /// bare pipeline; production callers use [`Qbd::solve`].
     ///
     /// # Errors
     ///
-    /// See [`Qbd::solve`].
-    pub fn solve_with(&self, opts: SolveOptions) -> Result<QbdSolution> {
-        Ok(self.solve_with_count(opts)?.0)
-    }
-
-    /// [`Qbd::solve_with`] returning the `G`-stage iteration count
-    /// alongside the solution — the number the sweep engine's per-point
-    /// cost records report for cold solves.
-    ///
-    /// # Errors
-    ///
-    /// See [`Qbd::solve`].
+    /// See [`Qbd::solve`]; a failed iteration is returned as is.
     pub fn solve_with_count(&self, opts: SolveOptions) -> Result<(QbdSolution, usize)> {
         let (up, down) = self.drift()?;
         if up >= down {
@@ -1227,7 +1083,7 @@ impl Qbd {
             pi0[i] = x[(0, i)].max(0.0);
             pi1[i] = x[(0, m + i)].max(0.0);
         }
-        Ok((QbdSolution::assemble(pi0, pi1, r, g)?, cond))
+        Ok((QbdSolution::from_parts(pi0, pi1, r, g)?, cond))
     }
 }
 
@@ -1246,6 +1102,19 @@ mod tests {
             Matrix::from_rows(&[&[mu]]),
         )
         .unwrap()
+    }
+
+    const STRATEGIES: [GStrategy; 3] = [
+        GStrategy::LogarithmicReduction,
+        GStrategy::NeutsSubstitution,
+        GStrategy::FunctionalIteration,
+    ];
+
+    /// Options stopping at `tolerance` within `max_iterations`.
+    fn to(tolerance: f64, max_iterations: usize) -> SolveOptions {
+        SolveOptions::default()
+            .with_tolerance(tolerance)
+            .with_max_iterations(max_iterations)
     }
 
     /// Two-phase MMPP service test model.
@@ -1440,81 +1309,65 @@ mod tests {
     }
 
     #[test]
-    fn functional_iteration_agrees_with_log_reduction() {
-        let qbd = mmpp2(1.0);
-        let g1 = qbd.g_matrix(SolveOptions::default()).unwrap();
-        let g2 = qbd.g_matrix_functional(1e-13, 100_000).unwrap();
-        assert!(g1.max_abs_diff(&g2) < 1e-9);
-    }
-
-    #[test]
-    fn neuts_substitution_agrees_with_log_reduction() {
+    fn every_strategy_agrees_with_log_reduction_plain_and_hardened() {
         for lambda in [0.4, 1.0, 1.5] {
             let qbd = mmpp2(lambda);
-            let g1 = qbd.g_matrix(SolveOptions::default()).unwrap();
-            let g2 = qbd.g_matrix_neuts(1e-13, 50_000).unwrap();
-            assert!(g1.max_abs_diff(&g2) < 1e-9, "lambda={lambda}");
+            let reference = qbd.g_matrix(SolveOptions::default()).unwrap();
+            for strategy in STRATEGIES {
+                let g_with = |hardening| {
+                    let opts = to(1e-13, 100_000).with_hardening(hardening);
+                    qbd.g_matrix_by(strategy, opts).unwrap().0
+                };
+                let (plain, hardened) = (g_with(Hardening::default()), g_with(Hardening::full()));
+                let diff = reference.max_abs_diff(&plain);
+                assert!(diff < 1e-9, "{strategy}, lambda = {lambda}: {diff}");
+                let diff = plain.max_abs_diff(&hardened);
+                assert!(
+                    diff < 1e-10,
+                    "hardened {strategy}, lambda = {lambda}: {diff}"
+                );
+            }
         }
     }
 
     #[test]
-    fn neuts_budget_exhaustion() {
+    fn linear_strategies_report_an_exhausted_budget() {
         let qbd = mmpp2(1.0);
-        assert!(matches!(
-            qbd.g_matrix_neuts(1e-16, 2),
-            Err(QbdError::NoConvergence { .. })
-        ));
-    }
-
-    #[test]
-    fn deadline_in_the_past_aborts_every_strategy() {
-        let qbd = mmpp2(1.0);
-        let past = Some(std::time::Instant::now() - std::time::Duration::from_millis(1));
-        for result in [
-            qbd.g_neuts_counted(1e-12, 100, past, None, Hardening::default()),
-            qbd.g_functional_counted(1e-12, 100, past, None, Hardening::default()),
-            qbd.g_logred_counted(1e-12, 100, past, None, Hardening::default()),
-        ] {
-            assert!(matches!(result, Err(QbdError::DeadlineExceeded { .. })));
+        for strategy in [GStrategy::NeutsSubstitution, GStrategy::FunctionalIteration] {
+            let result = qbd.g_matrix_by(strategy, to(1e-16, 2));
+            assert!(
+                matches!(result, Err(QbdError::NoConvergence { .. })),
+                "{strategy}"
+            );
         }
     }
 
     #[test]
-    fn tripped_token_aborts_every_strategy() {
+    fn interrupts_abort_every_strategy() {
         let qbd = mmpp2(1.0);
-        let token = performa_ctrl::CancelToken::new();
+        let past = Instant::now() - std::time::Duration::from_millis(1);
+        let token = CancelToken::new();
         token.cancel();
-        let t = Some(&token);
-        for result in [
-            qbd.g_neuts_counted(1e-12, 100, None, t, Hardening::default()),
-            qbd.g_functional_counted(1e-12, 100, None, t, Hardening::default()),
-            qbd.g_logred_counted(1e-12, 100, None, t, Hardening::default()),
-        ] {
-            assert!(matches!(result, Err(QbdError::Cancelled { .. })));
+        for strategy in STRATEGIES {
+            let late = qbd.g_matrix_by(strategy, to(1e-12, 100).with_deadline(past));
+            assert!(matches!(late, Err(QbdError::DeadlineExceeded { .. })));
+            let cancelled = qbd.g_matrix_by(strategy, to(1e-12, 100).with_cancel(token.clone()));
+            assert!(matches!(cancelled, Err(QbdError::Cancelled { .. })));
         }
     }
 
     #[test]
     fn cancel_outranks_deadline_when_both_fire() {
         let qbd = mmpp2(1.0);
-        let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
-        let token = performa_ctrl::CancelToken::new();
+        let past = Instant::now() - std::time::Duration::from_millis(1);
+        let token = CancelToken::new();
         token.cancel();
         let opts = SolveOptions::default()
             .with_deadline(past)
             .with_cancel(token);
         assert!(matches!(
-            qbd.solve_with(opts),
+            qbd.solve_with_count(opts),
             Err(QbdError::Cancelled { .. })
-        ));
-    }
-
-    #[test]
-    fn functional_iteration_budget_exhaustion() {
-        let qbd = mmpp2(1.0);
-        assert!(matches!(
-            qbd.g_matrix_functional(1e-16, 3),
-            Err(QbdError::NoConvergence { .. })
         ));
     }
 
@@ -1551,79 +1404,14 @@ mod tests {
     }
 
     #[test]
-    fn shifted_logred_agrees_with_plain() {
-        for lambda in [0.4, 1.0, 1.5] {
-            let qbd = mmpp2(lambda);
-            let plain = qbd.g_matrix(SolveOptions::default()).unwrap();
-            let shifted = qbd.g_matrix(SolveOptions::hardened()).unwrap();
-            assert!(
-                plain.max_abs_diff(&shifted) < 1e-10,
-                "lambda={lambda}: diff {}",
-                plain.max_abs_diff(&shifted)
-            );
-        }
-    }
-
-    #[test]
-    fn shifted_functional_agrees_with_plain() {
-        let qbd = mmpp2(1.0);
-        let plain = qbd.g_matrix_functional(1e-13, 100_000).unwrap();
-        let opts = SolveOptions {
-            tolerance: 1e-13,
-            max_iterations: 100_000,
-            hardening: Hardening::full(),
-            ..SolveOptions::default()
-        };
-        let shifted = qbd.g_matrix_functional_with(opts).unwrap();
-        assert!(plain.max_abs_diff(&shifted) < 1e-10);
-    }
-
-    #[test]
-    fn hardened_neuts_agrees_with_plain() {
-        let qbd = mmpp2(1.0);
-        let plain = qbd.g_matrix_neuts(1e-13, 50_000).unwrap();
-        let opts = SolveOptions {
-            tolerance: 1e-13,
-            max_iterations: 50_000,
-            hardening: Hardening::full(),
-            ..SolveOptions::default()
-        };
-        let hardened = qbd.g_matrix_neuts_with(opts).unwrap();
-        assert!(plain.max_abs_diff(&hardened) < 1e-10);
-    }
-
-    #[test]
     fn shift_on_unstable_chain_is_a_typed_error() {
         let qbd = mm1(2.0, 1.0);
-        let opts = SolveOptions::hardened();
-        assert!(matches!(
-            qbd.g_matrix(opts.clone()),
-            Err(QbdError::Unstable { .. })
-        ));
-        assert!(matches!(
-            qbd.g_matrix_functional_with(opts.clone()),
-            Err(QbdError::Unstable { .. })
-        ));
-        assert!(matches!(
-            qbd.g_matrix_neuts_with(opts),
-            Err(QbdError::Unstable { .. })
-        ));
-    }
-
-    #[test]
-    fn drift_classification_bands() {
-        assert_eq!(
-            mm1(0.5, 1.0).classify_drift(0.02).unwrap(),
-            DriftClass::PositiveRecurrent
-        );
-        assert_eq!(
-            mm1(0.995, 1.0).classify_drift(0.02).unwrap(),
-            DriftClass::NearNullRecurrent
-        );
-        assert_eq!(
-            mm1(2.0, 1.0).classify_drift(0.02).unwrap(),
-            DriftClass::Unstable
-        );
+        for strategy in STRATEGIES {
+            assert!(matches!(
+                qbd.g_matrix_by(strategy, SolveOptions::hardened()),
+                Err(QbdError::Unstable { .. })
+            ));
+        }
     }
 
     #[test]
@@ -1631,7 +1419,10 @@ mod tests {
         // Full pipeline with hardening on: the M/M/1 closed form must
         // survive the shift → R → boundary chain.
         let rho: f64 = 0.9;
-        let sol = mm1(rho, 1.0).solve_with(SolveOptions::hardened()).unwrap();
+        let sol = mm1(rho, 1.0)
+            .solve_with_count(SolveOptions::hardened())
+            .unwrap()
+            .0;
         let expect = rho / (1.0 - rho);
         assert!((sol.mean_queue_length() - expect).abs() < 1e-8 * expect);
     }

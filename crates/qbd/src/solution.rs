@@ -1,6 +1,6 @@
 use performa_linalg::{lu::Lu, spectral, Matrix, Vector};
 
-use crate::Result;
+use crate::{QbdError, Result};
 
 /// The stationary solution of a positive-recurrent QBD.
 ///
@@ -26,12 +26,31 @@ pub struct QbdSolution {
 }
 
 impl QbdSolution {
-    /// Assembles a solution from its parts, caching the geometric sums.
-    pub(crate) fn assemble(pi0: Vector, pi1: Vector, r: Matrix, g: Matrix) -> Result<Self> {
+    /// Assembles a solution from its parts, caching the geometric sums —
+    /// what the solver returns, and exactly the inverse of reading
+    /// [`Self::pi0`], [`Self::pi1`], [`Self::r_matrix`] and
+    /// [`Self::g_matrix`] back out.
+    ///
+    /// The geometric-sum caches are always computed by the same
+    /// deterministic LU path, so a solution rebuilt from bit-exact parts
+    /// yields bit-identical metrics. This is what lets the durable
+    /// result store replay persisted points byte-for-byte.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the `I − R` factorization failure, and returns
+    /// [`QbdError::InvalidRateMatrix`] when `(I−R)⁻¹·ε` has a negative
+    /// or non-finite entry (every entry is ≥ 1 for a valid `R`) —
+    /// either way the parts do not describe a positive-recurrent chain,
+    /// and metrics read off them would be meaningless.
+    pub fn from_parts(pi0: Vector, pi1: Vector, r: Matrix, g: Matrix) -> Result<Self> {
         let m = r.nrows();
         let i_minus_r = Matrix::identity(m) - &r;
         let lu = Lu::factor(&i_minus_r)?;
         let geo_eps = lu.solve_vec(&Vector::ones(m))?;
+        if let Some(&entry) = geo_eps.iter().find(|v| !(v.is_finite() && **v >= 0.0)) {
+            return Err(QbdError::InvalidRateMatrix { entry });
+        }
         let geo2_eps = lu.solve_vec(&geo_eps)?;
         let geo3_eps = lu.solve_vec(&geo2_eps)?;
         Ok(QbdSolution {
@@ -43,24 +62,6 @@ impl QbdSolution {
             geo2_eps,
             geo3_eps,
         })
-    }
-
-    /// Reassembles a solution from previously extracted parts —
-    /// exactly the inverse of reading [`Self::pi0`], [`Self::pi1`],
-    /// [`Self::r_matrix`] and [`Self::g_matrix`] back out.
-    ///
-    /// The geometric-sum caches are recomputed by the same
-    /// deterministic LU path the original solve used, so a solution
-    /// rebuilt from bit-exact parts yields bit-identical metrics. This
-    /// is what lets the durable result store replay persisted points
-    /// byte-for-byte.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the `I − R` factorization failure when the parts do
-    /// not describe a positive-recurrent chain.
-    pub fn from_parts(pi0: Vector, pi1: Vector, r: Matrix, g: Matrix) -> Result<Self> {
-        Self::assemble(pi0, pi1, r, g)
     }
 
     /// Phase dimension `m`.
@@ -233,6 +234,23 @@ mod tests {
         let qbd = Qbd::m_mmpp1(1.0, &q, &rates).unwrap();
         let sol = qbd.solve().unwrap();
         (qbd, sol)
+    }
+
+    #[test]
+    fn from_parts_rejects_a_rate_matrix_with_negative_geometric_sum() {
+        // (I − R)⁻¹·ε = 1/(1 − 1.5) = −2: no positive-recurrent chain has
+        // this R, and every metric read off it would carry the wrong sign.
+        let with_r = |r: f64| {
+            let (pi0, pi1) = (Vector::from(vec![0.5]), Vector::from(vec![0.25]));
+            let g = Matrix::from_rows(&[&[1.0]]);
+            QbdSolution::from_parts(pi0, pi1, Matrix::from_rows(&[&[r]]), g)
+        };
+        let err = with_r(1.5).unwrap_err();
+        assert!(
+            matches!(err, QbdError::InvalidRateMatrix { entry } if entry == -2.0),
+            "{err}"
+        );
+        assert!(with_r(0.5).is_ok(), "a valid R (rho = 0.5) assembles");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 
 use performa_linalg::{Matrix, Vector};
-use performa_qbd::{mg1, mm1, Qbd, QbdError, SolveOptions, SolverSupervisor};
+use performa_qbd::{mg1, mm1, GStrategy, Qbd, QbdError, SolveOptions, SolverSupervisor};
 
 /// True iff every entry of `g` is finite (no NaN/Inf leaked out).
 fn all_entries_finite(g: &Matrix) -> bool {
@@ -34,6 +34,18 @@ fn random_mmpp(n: usize, qs: &[f64], ls: &[f64]) -> (Matrix, Vector) {
     (q, rates)
 }
 
+/// `G` by `strategy` under `opts`, iteration count dropped.
+fn g_by(qbd: &Qbd, strategy: GStrategy, opts: SolveOptions) -> Result<Matrix, QbdError> {
+    Ok(qbd.g_matrix_by(strategy, opts)?.0)
+}
+
+/// `SolveOptions` stopping at `tolerance` within `max_iterations`.
+fn to(tolerance: f64, max_iterations: usize) -> SolveOptions {
+    SolveOptions::default()
+        .with_tolerance(tolerance)
+        .with_max_iterations(max_iterations)
+}
+
 /// Residual acceptance scale used by the supervisor: the QBD blocks'
 /// combined ∞-norm, floored at one.
 fn residual_scale(qbd: &Qbd) -> f64 {
@@ -57,8 +69,8 @@ proptest! {
         prop_assume!(qbd.is_stable().unwrap());
 
         let g_log = qbd.g_matrix(SolveOptions::default()).unwrap();
-        let g_fun = qbd.g_matrix_functional(1e-13, 500_000).unwrap();
-        let g_neu = qbd.g_matrix_neuts(1e-13, 500_000).unwrap();
+        let g_fun = g_by(&qbd, GStrategy::FunctionalIteration, to(1e-13, 500_000)).unwrap();
+        let g_neu = g_by(&qbd, GStrategy::NeutsSubstitution, to(1e-13, 500_000)).unwrap();
         prop_assert!(g_log.max_abs_diff(&g_fun) < 1e-8,
             "logred vs functional differ by {}", g_log.max_abs_diff(&g_fun));
         prop_assert!(g_log.max_abs_diff(&g_neu) < 1e-8,
@@ -102,8 +114,8 @@ proptest! {
         let qbd = Qbd::m_mmpp1(excess * max_rate, &q, &rates).unwrap();
         prop_assume!(!qbd.is_stable().unwrap());
 
+        // `Qbd::solve` is the supervised solve.
         prop_assert!(qbd.solve().is_err());
-        prop_assert!(SolverSupervisor::new(qbd).solve().is_err());
     }
 
     /// On unstable inputs every G strategy — hardened or not — either
@@ -125,8 +137,8 @@ proptest! {
         let hardened = SolveOptions::hardened();
         for (name, result) in [
             ("logred", qbd.g_matrix(hardened.clone())),
-            ("functional", qbd.g_matrix_functional_with(hardened.clone())),
-            ("neuts", qbd.g_matrix_neuts_with(hardened)),
+            ("functional", g_by(&qbd, GStrategy::FunctionalIteration, hardened.clone())),
+            ("neuts", g_by(&qbd, GStrategy::NeutsSubstitution, hardened)),
         ] {
             match result {
                 Err(QbdError::Unstable { .. }) => {}
@@ -143,8 +155,8 @@ proptest! {
         // NaN/Inf out of a `Ok` return.
         for g in [
             qbd.g_matrix(SolveOptions::default()),
-            qbd.g_matrix_functional(1e-12, 50_000),
-            qbd.g_matrix_neuts(1e-12, 50_000),
+            g_by(&qbd, GStrategy::FunctionalIteration, to(1e-12, 50_000)),
+            g_by(&qbd, GStrategy::NeutsSubstitution, to(1e-12, 50_000)),
         ]
         .into_iter()
         .flatten()
@@ -173,12 +185,13 @@ proptest! {
         prop_assert!(plain.max_abs_diff(&hard) < 1e-10,
             "shifted logred diverges from plain by {}", plain.max_abs_diff(&hard));
 
-        let fun_hard = qbd.g_matrix_functional_with(SolveOptions::hardened()).unwrap();
+        let hardened = SolveOptions::hardened();
+        let fun_hard = g_by(&qbd, GStrategy::FunctionalIteration, hardened.clone()).unwrap();
         prop_assert!(plain.max_abs_diff(&fun_hard) < 1e-8,
             "shifted functional diverges from plain logred by {}",
             plain.max_abs_diff(&fun_hard));
 
-        let neu_hard = qbd.g_matrix_neuts_with(SolveOptions::hardened()).unwrap();
+        let neu_hard = g_by(&qbd, GStrategy::NeutsSubstitution, hardened).unwrap();
         prop_assert!(plain.max_abs_diff(&neu_hard) < 1e-8,
             "hardened neuts diverges from plain logred by {}",
             plain.max_abs_diff(&neu_hard));

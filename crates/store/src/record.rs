@@ -52,7 +52,7 @@ pub enum PointRecord {
         /// First-passage matrix `G`, row-major (`m·m` entries).
         g: Vec<f64>,
     },
-    /// The point failed after the sweep pool's retry ladder; replayed
+    /// The point failed after the solver's recovery ladder; replayed
     /// as a typed error unless the caller asks for re-attempts.
     Failed {
         /// Short machine-readable failure class (e.g.
