@@ -11,6 +11,11 @@
 //!   reports `speedup_vs_naive`.
 //! * `g_solve` — logarithmic-reduction `G` solves for lumped N-server
 //!   TPT models at the phase dimensions the DSN'07 figures use.
+//! * `kernel` — the LU factor and the right and left multi-RHS solves
+//!   of the `R`/Neuts step on the paper-scale N5_T6 blocks (`m = 462`):
+//!   `LuWorkspace::factor` of `U = −(A1 + A0·G)`, `solve_mat_into`
+//!   (`U·X = A2`) and `solve_left_mat_into` (`X·U = A0`). Each case
+//!   reports `gflops`, computed from the shapes (`⅔m³`, `2m³`, `2m³`).
 //! * `sweep` — a Fig. 1-style ρ sweep through the parallel sweep
 //!   engine (4 workers, modulator cache) against the serial per-point
 //!   loop it replaced; `residual` reports the worst per-point G
@@ -44,6 +49,8 @@ use std::time::Instant;
 
 use performa_core::{Axis, ClusterModel, Scenario, StoreHandle, SweepOptions, SweepPlan};
 use performa_dist::{Exponential, TruncatedPowerTail};
+use performa_linalg::gemm::gemm_into;
+use performa_linalg::lu::LuWorkspace;
 use performa_linalg::Matrix;
 use performa_qbd::{Qbd, SolveOptions};
 
@@ -97,6 +104,8 @@ struct Case {
     baseline_ns: Option<f64>,
     /// ∞-norm of `A2 + A1·G + A0·G²` for `g_solve` cases.
     residual: Option<f64>,
+    /// Flop rate computed from the shapes (`kernel` cases).
+    gflops: Option<f64>,
 }
 
 impl Case {
@@ -224,6 +233,9 @@ fn history_line(cases: &[Case], samples: usize, smoke: bool) -> String {
         if let Some(r) = c.residual {
             let _ = write!(line, ",\"residual\":{r:e}");
         }
+        if let Some(gf) = c.gflops {
+            let _ = write!(line, ",\"gflops\":{gf:.3}");
+        }
         line.push('}');
     }
     line.push_str("]}");
@@ -268,6 +280,7 @@ fn main() {
             naive_ns_per_iter: Some(naive),
             baseline_ns: None,
             residual: None,
+            gflops: None,
         });
     }
 
@@ -323,7 +336,50 @@ fn main() {
             naive_ns_per_iter: None,
             baseline_ns: Some(baseline),
             residual: Some(residual),
+            gflops: None,
         });
+    }
+
+    // --- Paper-scale LU kernels (N5_T6, m = 462) ---------------------
+    // The blocks the `R` and Neuts steps factor and solve against; flop
+    // counts are computed from the shapes, as perfbench does.
+    let kernel_names = ["lu_factor_462", "solve_right_462", "solve_left_462"];
+    if kernel_names.iter().any(|n| selected(n)) {
+        let qbd = tpt_qbd(5, 6, 0.7);
+        let m = qbd.phase_dim();
+        let g = qbd.g_matrix(SolveOptions::default()).unwrap();
+        let mut u = qbd.a1().clone();
+        gemm_into(1.0, qbd.a0(), &g, 1.0, &mut u);
+        u.scale_mut(-1.0);
+        let mut lu = LuWorkspace::new(m);
+        let mut out = Matrix::zeros(m, m);
+        let factor = median_ns(samples, || lu.factor(&u).unwrap());
+        let right = median_ns(samples, || lu.solve_mat_into(qbd.a2(), &mut out).unwrap());
+        let left = median_ns(samples, || {
+            lu.solve_left_mat_into(qbd.a0(), &mut out).unwrap()
+        });
+        let m3 = (m as f64).powi(3);
+        for (name, ns, flops) in [
+            (kernel_names[0], factor, 2.0 / 3.0 * m3),
+            (kernel_names[1], right, 2.0 * m3),
+            (kernel_names[2], left, 2.0 * m3),
+        ] {
+            if !selected(name) {
+                continue;
+            }
+            let gflops = flops / ns;
+            eprintln!("{name} (m={m}): {ns:>14.0} ns  {gflops:.2} GFLOP/s");
+            cases.push(Case {
+                name: name.to_string(),
+                kind: "kernel",
+                dim: m,
+                ns_per_iter: ns,
+                naive_ns_per_iter: None,
+                baseline_ns: None,
+                residual: None,
+                gflops: Some(gflops),
+            });
+        }
     }
 
     // --- Fig. 1-style ρ sweep: serial loop vs the sweep engine -------
@@ -387,6 +443,7 @@ fn main() {
             naive_ns_per_iter: Some(serial),
             baseline_ns: None,
             residual: Some(residual),
+            gflops: None,
         });
     }
 
@@ -436,6 +493,7 @@ fn main() {
             naive_ns_per_iter: Some(cold),
             baseline_ns: None,
             residual: None,
+            gflops: None,
         });
     }
 
@@ -472,9 +530,15 @@ fn main() {
         }
         match c.residual {
             Some(r) => {
-                let _ = writeln!(json, "      \"residual\": {r:e}");
+                let _ = writeln!(json, "      \"residual\": {r:e},");
             }
-            None => json.push_str("      \"residual\": null\n"),
+            None => json.push_str("      \"residual\": null,\n"),
+        }
+        match c.gflops {
+            Some(gf) => {
+                let _ = writeln!(json, "      \"gflops\": {gf:.3}");
+            }
+            None => json.push_str("      \"gflops\": null\n"),
         }
         json.push_str(if i + 1 == cases.len() { "    }\n" } else { "    },\n" });
     }

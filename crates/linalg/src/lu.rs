@@ -16,12 +16,31 @@
 //!   transposed copy of the factors so left (row-vector) solves run on
 //!   unit-stride data.
 //!
-//! Multi-RHS solves are *row-blocked*: forward/backward substitution is
-//! applied to entire rows of the right-hand side at once (an `axpy` per
-//! eliminated entry), which turns the inner loops into long unit-stride
-//! streams instead of `n` separate column extractions.
+//! # Blocking
+//!
+//! Factor and multi-RHS solves are blocked on the GEMM core
+//! ([`crate::gemm`]) with one panel width [`NB`]:
+//!
+//! * the factor is a right-looking blocked LU — per panel, partial
+//!   pivoting over full rows, `U12` by a unit-lower triangular solve,
+//!   and the trailing update `A22 −= L21·U12` on the GEMM core, with
+//!   `L21` staged in workspace scratch (it shares rows with `A22`);
+//! * right (`A·X = B`) and left (`X·A = B`) solves are left-looking:
+//!   off-diagonal blocks go through the GEMM core, and each diagonal
+//!   block runs the unblocked loop — a row `axpy` per eliminated entry
+//!   for right solves, a per-row dot product on the transposed factors
+//!   for left solves.
+//!
+//! The GEMM core subtracts each update as a fused multiply-add chain
+//! seeded with the target entry, in the order the unblocked loops use.
+//! A matrix with `n < 3·NB` is a single diagonal block and runs exactly
+//! the unblocked loops, bit for bit; so does a solve with fewer than
+//! 16 right-hand-side columns (right) or 4 rows (left). The parallel
+//! schedules (row-parallel trailing updates, column-striped right
+//! solves, row-partitioned left solves) are bitwise identical to serial.
 
 use crate::compensated::Accumulator;
+use crate::gemm::{auto_workers, gemm_acc, Dims, Lhs, Update, View};
 use crate::{LinalgError, Matrix, Result, Vector};
 
 /// How [`LuWorkspace::factor_with`] prepares a system.
@@ -77,18 +96,106 @@ pub struct RefineStats {
     pub converged: bool,
 }
 
-/// In-place partial-pivoting elimination on row-major storage.
+/// Panel width of the blocked LU and block size of the blocked
+/// substitutions.
+///
+/// A matrix with `n < 3·NB` is a single diagonal block: it runs the
+/// unblocked loops with no GEMM call at all, so every figure-scale
+/// matrix — the phase dimension `m ≤ 126` and the `2m ≤ 132` boundary
+/// system of the figure sweeps — keeps the bits of the unblocked code.
+pub const NB: usize = 64;
+
+/// Diagonal block size for an `n×n` factor: `n` itself (one block)
+/// when `n < 3·NB`, else [`NB`].
+///
+/// Splitting `2·NB < n < 3·NB` into two full blocks and a ragged one
+/// gains little: at `n = 132` the blocked factor measured ~8% faster,
+/// about 20 µs per figure-sweep solve, and it would move the bits of
+/// every figure-sweep boundary system.
+fn block_size(n: usize) -> usize {
+    if n < 3 * NB {
+        n
+    } else {
+        NB
+    }
+}
+
+/// Fewest right-hand-side columns for which a right solve is blocked.
+///
+/// Below it (and below [`MIN_BLOCKED_ROWS`] for left solves) the
+/// off-diagonal products would mostly multiply register-tile padding:
+/// the 1-row boundary solve at `n = 924` took 5.5 ms blocked against
+/// 0.8 ms unblocked. Both are the sides of the AVX-512 `4×16` tile,
+/// fixed here rather than read from [`crate::gemm::MR`]/[`crate::gemm::NR`]
+/// so the blocking decision, and with it every result bit, is the same
+/// on every build target.
+const MIN_BLOCKED_COLS: usize = 16;
+
+/// Fewest right-hand-side rows for which a left solve is blocked; see
+/// [`MIN_BLOCKED_COLS`].
+const MIN_BLOCKED_ROWS: usize = 4;
+
+/// Diagonal block size for a solve with `rhs` right-hand sides: the
+/// unblocked loops (`n`) below `min_rhs`, else [`block_size`].
+fn solve_block_size(n: usize, rhs: usize, min_rhs: usize) -> usize {
+    if rhs < min_rhs {
+        n
+    } else {
+        block_size(n)
+    }
+}
+
+/// Diagonal blocks `[i0, i1)` of size `nb` covering `0..n`, the last
+/// one ragged.
+fn diag_blocks(n: usize, nb: usize) -> impl DoubleEndedIterator<Item = (usize, usize)> {
+    let nb = nb.max(1);
+    (0..n.div_ceil(nb)).map(move |b| (b * nb, ((b + 1) * nb).min(n)))
+}
+
+/// Length of the `L21` staging buffer the blocked factor of an `n×n`
+/// matrix needs: the tallest sub-diagonal panel, `(n − NB)×NB`.
+fn panel_len(n: usize) -> usize {
+    if n >= 3 * NB {
+        (n - NB) * NB
+    } else {
+        0
+    }
+}
+
+/// In-place right-looking blocked LU with partial pivoting on row-major
+/// storage.
+///
+/// Per diagonal block `[k0, k1)`: [`eliminate`] factors the panel
+/// (pivot rows swapped whole), [`update_trailing`] solves `U12` and
+/// applies `A22 −= L21·U12` on the GEMM core. `panel` is the `L21`
+/// staging scratch ([`panel_len`]).
 ///
 /// On success `lu` holds the combined factors (unit-lower `L` below the
 /// diagonal, `U` on and above), `perm[i]` names the original row stored
 /// in position `i`, and the returned value is the permutation sign.
-fn factor_in_place(lu: &mut Matrix, perm: &mut [usize]) -> Result<f64> {
-    let n = lu.nrows();
+fn factor_in_place(lu: &mut Matrix, perm: &mut [usize], panel: &mut [f64]) -> Result<f64> {
     for (i, p) in perm.iter_mut().enumerate() {
         *p = i;
     }
+    let n = lu.nrows();
     let mut sign = 1.0;
-    for k in 0..n {
+    for (k0, k1) in diag_blocks(n, block_size(n)) {
+        sign *= eliminate(lu, perm, k0, k1)?;
+        if k1 < n {
+            update_trailing(lu, k0, k1, panel);
+        }
+    }
+    Ok(sign)
+}
+
+/// Partial-pivoting elimination of columns `[k0, k1)` over rows
+/// `k0..n`: pivot rows are swapped whole, rank-one updates stop at
+/// column `k1`. With `(0, n)` this is the whole unblocked LU. Returns
+/// the sign of the row swaps.
+fn eliminate(lu: &mut Matrix, perm: &mut [usize], k0: usize, k1: usize) -> Result<f64> {
+    let n = lu.nrows();
+    let mut sign = 1.0;
+    for k in k0..k1 {
         // Partial pivoting: pick the largest magnitude entry in column k.
         let mut pivot_row = k;
         let mut pivot_val = lu[(k, k)].abs();
@@ -112,13 +219,13 @@ fn factor_in_place(lu: &mut Matrix, perm: &mut [usize]) -> Result<f64> {
         // Eliminate below the pivot, operating on whole row tails so the
         // update is a unit-stride axpy.
         let (pivot_rows, below) = data.split_at_mut((k + 1) * n);
-        let urow = &pivot_rows[k * n + k..(k + 1) * n];
+        let urow = &pivot_rows[k * n + k..k * n + k1];
         let pivot = urow[0];
         for chunk in below.chunks_exact_mut(n) {
             let factor = chunk[k] / pivot;
             chunk[k] = factor;
             if factor != 0.0 {
-                let tail = &mut chunk[k + 1..];
+                let tail = &mut chunk[k + 1..k1];
                 for (t, &u) in tail.iter_mut().zip(&urow[1..]) {
                     *t -= factor * u;
                 }
@@ -126,6 +233,53 @@ fn factor_in_place(lu: &mut Matrix, perm: &mut [usize]) -> Result<f64> {
         }
     }
     Ok(sign)
+}
+
+/// The block step after panel `[k0, k1)`: `U12 ← L11⁻¹·A12` by
+/// unit-lower row substitution, then `A22 −= L21·U12` on the GEMM core.
+///
+/// `L21` shares its rows with `A22`, so it is staged in `panel` first:
+/// the product then reads `L21` from the scratch and `U12` from the rows
+/// above `A22`, and writes `A22` alone. The product runs on the
+/// row-parallel GEMM when it reaches the GEMM flop gate (bitwise
+/// identical to serial); the late, small updates stay serial.
+fn update_trailing(lu: &mut Matrix, k0: usize, k1: usize, panel: &mut [f64]) {
+    let n = lu.nrows();
+    let (nb, rows) = (k1 - k0, n - k1);
+    let workers = auto_workers(rows, nb, n - k1);
+    let data = lu.as_mut_slice();
+    for i in k0 + 1..k1 {
+        let (above, current) = data.split_at_mut(i * n);
+        let (l, u12) = current[..n].split_at_mut(k1);
+        for j in k0..i {
+            let lij = l[j];
+            if lij != 0.0 {
+                for (x, &y) in u12.iter_mut().zip(&above[j * n + k1..(j + 1) * n]) {
+                    *x -= lij * y;
+                }
+            }
+        }
+    }
+    let l21 = &mut panel[..rows * nb];
+    for (r, dst) in l21.chunks_exact_mut(nb).enumerate() {
+        let at = (k1 + r) * n + k0;
+        dst.copy_from_slice(&data[at..at + nb]);
+    }
+    let (top, a22) = data.split_at_mut(k1 * n);
+    gemm_acc(
+        Update::Sub,
+        Lhs::View(View::at(l21, nb, 0, 0)),
+        View::at(top, n, k0, k1),
+        Dims {
+            m: rows,
+            k: nb,
+            n: n - k1,
+        },
+        a22,
+        n,
+        k1,
+        workers,
+    );
 }
 
 /// The multi-right-hand-side solves stay serial below half the GEMM
@@ -139,56 +293,97 @@ fn par_min_solve_flops() -> usize {
 /// `out` must hold `P·B`; on return it holds `X`.
 fn substitute_rows_in_place(lu: &Matrix, out: &mut Matrix) {
     let w = out.ncols();
-    substitute_rows_slice(lu, out.as_mut_slice(), w);
+    let nb = solve_block_size(lu.nrows(), w, MIN_BLOCKED_COLS);
+    substitute_rows_slice(lu, out.as_mut_slice(), w, nb);
 }
 
-/// Substitution core on a raw row-major buffer of width `w`.
+/// Left-looking blocked substitution on a raw row-major buffer of width
+/// `w`: per diagonal block of size `nb`, the rows already solved are
+/// folded in by one GEMM, then the block runs the row-axpy loop.
 ///
-/// Each right-hand-side column is processed independently — the row
-/// loops fix the operation order per column and never mix columns —
-/// which is what makes the column-striped parallel variant bitwise
-/// identical to the serial one.
-fn substitute_rows_slice(lu: &Matrix, data: &mut [f64], w: usize) {
+/// Each right-hand-side column is processed independently — neither the
+/// GEMM nor the row loops ever mix columns, and both fix the operation
+/// order per column — which is what makes the column-striped parallel
+/// variant bitwise identical to the serial one.
+fn substitute_rows_slice(lu: &Matrix, data: &mut [f64], w: usize, nb: usize) {
     let n = lu.nrows();
+    let l = lu.as_slice();
     // Forward: L y = P b.
-    for i in 1..n {
-        let (above, current) = data.split_at_mut(i * w);
-        let xi = &mut current[..w];
-        let lrow = lu.row(i);
-        for (j, xj) in above.chunks_exact(w).enumerate() {
-            let lij = lrow[j];
-            if lij != 0.0 {
-                for (x, &y) in xi.iter_mut().zip(xj) {
-                    *x -= lij * y;
+    for (i0, i1) in diag_blocks(n, nb) {
+        let (solved, block) = data.split_at_mut(i0 * w);
+        let dims = Dims {
+            m: i1 - i0,
+            k: i0,
+            n: w,
+        };
+        gemm_acc(
+            Update::Sub,
+            Lhs::View(View::at(l, n, i0, 0)),
+            View::at(solved, w, 0, 0),
+            dims,
+            block,
+            w,
+            0,
+            1,
+        );
+        for i in i0 + 1..i1 {
+            let (above, current) = data.split_at_mut(i * w);
+            let xi = &mut current[..w];
+            let lrow = lu.row(i);
+            for (j, xj) in above.chunks_exact(w).enumerate().skip(i0) {
+                let lij = lrow[j];
+                if lij != 0.0 {
+                    for (x, &y) in xi.iter_mut().zip(xj) {
+                        *x -= lij * y;
+                    }
                 }
             }
         }
     }
     // Backward: U x = y.
-    for i in (0..n).rev() {
-        let (head, tail) = data.split_at_mut((i + 1) * w);
-        let xi = &mut head[i * w..];
-        let urow = lu.row(i);
-        for (j, xj) in tail.chunks_exact(w).enumerate() {
-            let uij = urow[i + 1 + j];
-            if uij != 0.0 {
-                for (x, &y) in xi.iter_mut().zip(xj) {
-                    *x -= uij * y;
+    for (i0, i1) in diag_blocks(n, nb).rev() {
+        let (head, solved) = data.split_at_mut(i1 * w);
+        let dims = Dims {
+            m: i1 - i0,
+            k: n - i1,
+            n: w,
+        };
+        gemm_acc(
+            Update::Sub,
+            Lhs::View(View::at(l, n, i0, i1)),
+            View::at(solved, w, 0, 0),
+            dims,
+            &mut head[i0 * w..],
+            w,
+            0,
+            1,
+        );
+        for i in (i0..i1).rev() {
+            let (head, tail) = data.split_at_mut((i + 1) * w);
+            let xi = &mut head[i * w..];
+            let urow = lu.row(i);
+            for (j, xj) in tail.chunks_exact(w).take(i1 - i - 1).enumerate() {
+                let uij = urow[i + 1 + j];
+                if uij != 0.0 {
+                    for (x, &y) in xi.iter_mut().zip(xj) {
+                        *x -= uij * y;
+                    }
                 }
             }
-        }
-        let inv = 1.0 / urow[i];
-        for x in xi.iter_mut() {
-            *x *= inv;
+            let inv = 1.0 / urow[i];
+            for x in xi.iter_mut() {
+                *x *= inv;
+            }
         }
     }
 }
 
 /// Column-striped parallel substitution: each scoped thread copies a
 /// contiguous stripe of right-hand-side columns into a private
-/// contiguous buffer, substitutes there, and the stripes are copied
-/// back. The per-column arithmetic is untouched, so results are bitwise
-/// identical to the serial schedule at any worker count.
+/// contiguous buffer, runs the blocked substitution there, and the
+/// stripes are copied back. The per-column arithmetic is untouched, so
+/// results are bitwise identical to the serial schedule at any worker
+/// count.
 fn substitute_rows_threaded(lu: &Matrix, out: &mut Matrix, workers: usize) {
     let n = lu.nrows();
     let w = out.ncols();
@@ -197,6 +392,8 @@ fn substitute_rows_threaded(lu: &Matrix, out: &mut Matrix, workers: usize) {
         substitute_rows_in_place(lu, out);
         return;
     }
+    // The block size follows the whole right-hand side, not a stripe.
+    let nb = solve_block_size(n, w, MIN_BLOCKED_COLS);
     let bounds = crate::threading::partition_blocks(w, workers);
     let mut stripes: Vec<(usize, usize, Vec<f64>)> = bounds
         .windows(2)
@@ -213,7 +410,7 @@ fn substitute_rows_threaded(lu: &Matrix, out: &mut Matrix, workers: usize) {
     std::thread::scope(|scope| {
         for (c0, c1, buf) in stripes.iter_mut() {
             let wt = *c1 - *c0;
-            scope.spawn(move || substitute_rows_slice(lu, buf, wt));
+            scope.spawn(move || substitute_rows_slice(lu, buf, wt, nb));
         }
     });
     for (c0, c1, buf) in &stripes {
@@ -224,52 +421,114 @@ fn substitute_rows_threaded(lu: &Matrix, out: &mut Matrix, workers: usize) {
     }
 }
 
-/// One left solve `x·A = b` on the transposed factors: forward on
-/// `Uᵀ`, backward on `Lᵀ` in place (in `y`, a length-`n` scratch), then
-/// scatter through `P`.
-///
-/// For equilibrated factors (`x·R⁻¹AₛC⁻¹ = b`) the right-hand side is
-/// prescaled by the column scales on the way in and the solution
-/// postscaled by the row scales on the way out.
-///
-/// A free function (rather than a method) so the row-parallel
-/// [`LuWorkspace::solve_left_mat_into_threaded`] can run it from scoped
-/// threads with per-thread scratch.
-#[allow(clippy::too_many_arguments)] // factored data plus scratch: all are needed
-fn solve_left_row_with(
-    lut: &Matrix,
-    perm: &[usize],
-    row_scale: &[f64],
-    col_scale: &[f64],
+/// Borrowed factored data of a [`LuWorkspace`], as the left-solve
+/// kernels read it.
+#[derive(Debug, Clone, Copy)]
+struct Factors<'a> {
+    lu: &'a Matrix,
+    /// `luᵀ`, for unit-stride dot products in the diagonal blocks.
+    lut: &'a Matrix,
+    perm: &'a [usize],
+    row_scale: &'a [f64],
+    col_scale: &'a [f64],
     equilibrated: bool,
-    b: &[f64],
-    x: &mut [f64],
-    y: &mut [f64],
-) {
-    let n = lut.nrows();
-    for i in 0..n {
-        let row = lut.row(i);
-        let mut acc = if equilibrated { b[i] * col_scale[i] } else { b[i] };
-        for (&u, &yj) in row[..i].iter().zip(y[..i].iter()) {
-            acc -= u * yj;
-        }
-        y[i] = acc / row[i];
+}
+
+/// Blocked left solve `X·A = B` for a run of right-hand-side rows:
+/// `b` and `x` are row-major, `n` wide; `y` is a length-`n` scratch;
+/// `nb` is the diagonal block size ([`block_size`], or `n` for the
+/// unblocked loops).
+///
+/// `x·A = b ⇔ Aᵀ·xᵀ = bᵀ`: forward on `Uᵀ`, backward on `Lᵀ`, both in
+/// place in `x`, then a scatter through `P`. Per diagonal column block
+/// the columns already solved are folded in by one GEMM (`U` and `L`
+/// read row-wise from `lu`), then each row runs the dot-product loop on
+/// `lut`. For equilibrated factors (`x·R⁻¹AₛC⁻¹ = b`) the right-hand
+/// side is prescaled by the column scales on the way in and the
+/// solution postscaled by the row scales on the way out.
+///
+/// Rows never mix, which is what makes the row-partitioned parallel
+/// variant bitwise identical to the serial one.
+fn solve_left_rows(f: Factors<'_>, nb: usize, b: &[f64], x: &mut [f64], y: &mut [f64]) {
+    let n = f.lut.nrows();
+    if n == 0 {
+        return;
     }
-    for i in (0..n).rev() {
-        let row = lut.row(i);
-        let mut acc = y[i];
-        for (&l, &zj) in row[i + 1..].iter().zip(y[i + 1..].iter()) {
-            acc -= l * zj;
-        }
-        y[i] = acc;
-    }
-    if equilibrated {
-        for (i, &p) in perm.iter().enumerate() {
-            x[p] = y[i] * row_scale[p];
+    let rows = x.len() / n;
+    if f.equilibrated {
+        for (xr, br) in x.chunks_exact_mut(n).zip(b.chunks_exact(n)) {
+            for ((v, &bv), &c) in xr.iter_mut().zip(br).zip(f.col_scale) {
+                *v = bv * c;
+            }
         }
     } else {
-        for (i, &p) in perm.iter().enumerate() {
-            x[p] = y[i];
+        x.copy_from_slice(b);
+    }
+    let l = f.lu.as_slice();
+    for (j0, j1) in diag_blocks(n, nb) {
+        let dims = Dims {
+            m: rows,
+            k: j0,
+            n: j1 - j0,
+        };
+        gemm_acc(
+            Update::Sub,
+            Lhs::Out { col0: 0 },
+            View::at(l, n, 0, j0),
+            dims,
+            x,
+            n,
+            j0,
+            1,
+        );
+        for xr in x.chunks_exact_mut(n) {
+            for i in j0..j1 {
+                let row = f.lut.row(i);
+                let mut acc = xr[i];
+                for (&u, &yj) in row[j0..i].iter().zip(&xr[j0..i]) {
+                    acc -= u * yj;
+                }
+                xr[i] = acc / row[i];
+            }
+        }
+    }
+    for (j0, j1) in diag_blocks(n, nb).rev() {
+        let dims = Dims {
+            m: rows,
+            k: n - j1,
+            n: j1 - j0,
+        };
+        gemm_acc(
+            Update::Sub,
+            Lhs::Out { col0: j1 },
+            View::at(l, n, j1, j0),
+            dims,
+            x,
+            n,
+            j0,
+            1,
+        );
+        for xr in x.chunks_exact_mut(n) {
+            for i in (j0..j1).rev() {
+                let row = f.lut.row(i);
+                let mut acc = xr[i];
+                for (&l, &zj) in row[i + 1..j1].iter().zip(&xr[i + 1..j1]) {
+                    acc -= l * zj;
+                }
+                xr[i] = acc;
+            }
+        }
+    }
+    for xr in x.chunks_exact_mut(n) {
+        y.copy_from_slice(xr);
+        if f.equilibrated {
+            for (i, &p) in f.perm.iter().enumerate() {
+                xr[p] = y[i] * f.row_scale[p];
+            }
+        } else {
+            for (i, &p) in f.perm.iter().enumerate() {
+                xr[p] = y[i];
+            }
         }
     }
 }
@@ -403,7 +662,14 @@ fn residual_omega_left(a: &Matrix, x: &Matrix, b: &Matrix, resid: &mut Matrix) -
 /// Hager-style lower-bound estimate of `‖A⁻¹‖₁` on factored data
 /// (Hager 1984, as refined by Higham): a handful of forward/adjoint
 /// solves, `O(k·n²)` instead of the `O(n³)` of an explicit inverse.
-fn inverse_norm_one_estimate_with(lu: &Matrix, perm: &[usize]) -> f64 {
+///
+/// `solve_left(b, y, x)` solves the adjoint system `x·A = b` (`y` is a
+/// length-`n` scratch).
+fn inverse_norm_one_estimate_with(
+    lu: &Matrix,
+    perm: &[usize],
+    mut solve_left: impl FnMut(&[f64], &mut [f64], &mut [f64]),
+) -> f64 {
     let n = lu.nrows();
     if n == 0 {
         return 0.0;
@@ -428,7 +694,7 @@ fn inverse_norm_one_estimate_with(lu: &Matrix, perm: &[usize]) -> f64 {
         }
         let xi = std::mem::take(&mut scratch);
         let mut ybuf = std::mem::take(&mut y);
-        solve_left_vec_with(lu, perm, &xi, &mut ybuf, &mut z);
+        solve_left(&xi, &mut ybuf, &mut z);
         scratch = xi;
         y = ybuf;
         if !z.iter().all(|v| v.is_finite()) {
@@ -498,7 +764,8 @@ impl Lu {
         let a_norm1 = a.norm_one();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = vec![0; n];
-        let sign = factor_in_place(&mut lu, &mut perm)?;
+        let mut panel = vec![0.0; panel_len(n)];
+        let sign = factor_in_place(&mut lu, &mut perm, &mut panel)?;
 
         if let Some(t0) = started {
             performa_obs::histogram_record("linalg.lu.factor_s", t0.elapsed().as_secs_f64());
@@ -633,7 +900,9 @@ impl Lu {
     /// cost. The estimate is a lower bound that is almost always within a
     /// small factor of the true norm.
     pub fn inverse_norm_one_estimate(&self) -> f64 {
-        inverse_norm_one_estimate_with(&self.lu, &self.perm)
+        inverse_norm_one_estimate_with(&self.lu, &self.perm, |b, y, x| {
+            solve_left_vec_with(&self.lu, &self.perm, b, y, x)
+        })
     }
 
     /// Cheap 1-norm condition-number estimate `κ₁(A) ≈ ‖A‖₁·‖A⁻¹‖₁`.
@@ -684,6 +953,9 @@ pub struct LuWorkspace {
     perm: Vec<usize>,
     /// Per-row scratch for left solves.
     scratch: Vec<f64>,
+    /// `L21` staging for the blocked factor ([`panel_len`]; empty when
+    /// the matrix is a single diagonal block).
+    panel: Vec<f64>,
     /// Row equilibration scales `r` (`Aₛ = R·A·C`); all ones when
     /// equilibration is off.
     row_scale: Vec<f64>,
@@ -707,6 +979,7 @@ impl LuWorkspace {
             lut: Matrix::zeros(n, n),
             perm: vec![0; n],
             scratch: vec![0.0; n],
+            panel: vec![0.0; panel_len(n)],
             row_scale: vec![1.0; n],
             col_scale: vec![1.0; n],
             equilibrated: false,
@@ -729,7 +1002,7 @@ impl LuWorkspace {
         let mat = |m: &Matrix| m.nrows() * m.ncols() * f64s;
         2 * n * n * f64s
             + n * std::mem::size_of::<usize>()
-            + 4 * n * f64s
+            + (4 * n + self.panel.len()) * f64s
             + self.retained.as_ref().map_or(0, mat)
             + self
                 .refine_buf
@@ -793,7 +1066,7 @@ impl LuWorkspace {
         // Norm of the matrix actually factored, so the condition
         // estimate describes the system substitution runs on.
         self.a_norm1 = self.lu.norm_one();
-        factor_in_place(&mut self.lu, &mut self.perm)?;
+        factor_in_place(&mut self.lu, &mut self.perm, &mut self.panel)?;
         self.lu.transpose_into(&mut self.lut);
         self.factored = true;
         if let Some(t0) = started {
@@ -972,55 +1245,46 @@ impl LuWorkspace {
         }
         let rows = b.nrows();
         let workers = workers.max(1).min(rows);
+        let nb = solve_block_size(n, rows, MIN_BLOCKED_ROWS);
         if workers <= 1 {
-            for r in 0..rows {
-                solve_left_row_with(
-                    &self.lut,
-                    &self.perm,
-                    &self.row_scale,
-                    &self.col_scale,
-                    self.equilibrated,
-                    b.row(r),
-                    out.row_mut(r),
-                    &mut self.scratch,
-                );
-            }
+            let mut y = std::mem::take(&mut self.scratch);
+            solve_left_rows(self.factors(), nb, b.as_slice(), out.as_mut_slice(), &mut y);
+            self.scratch = y;
             return Ok(());
         }
-        // Each output row is produced by exactly one thread via the same
-        // single-row routine the serial path uses, so the parallel split
-        // cannot change any result bits.
-        let (lut, perm) = (&self.lut, &self.perm[..]);
-        let (row_scale, col_scale) = (&self.row_scale[..], &self.col_scale[..]);
-        let equilibrated = self.equilibrated;
+        let f = self.factors();
+        // Each output row is produced by exactly one thread running the
+        // same blocked routine as the serial path; rows never mix, so the
+        // parallel split cannot change any result bits.
         let bounds = crate::threading::partition_blocks(rows, workers);
-        let mut regions: Vec<(usize, &mut [f64])> = Vec::with_capacity(bounds.len() - 1);
+        let mut regions: Vec<(&[f64], &mut [f64])> = Vec::with_capacity(bounds.len() - 1);
         let mut rest = out.as_mut_slice();
         for w in bounds.windows(2) {
             let (head, tail) = rest.split_at_mut((w[1] - w[0]) * n);
-            regions.push((w[0], head));
+            regions.push((&b.as_slice()[w[0] * n..w[1] * n], head));
             rest = tail;
         }
         std::thread::scope(|scope| {
-            for (r0, rows_slice) in regions {
+            for (b_rows, x_rows) in regions {
                 scope.spawn(move || {
                     let mut scratch = vec![0.0; n];
-                    for (ri, xrow) in rows_slice.chunks_exact_mut(n).enumerate() {
-                        solve_left_row_with(
-                            lut,
-                            perm,
-                            row_scale,
-                            col_scale,
-                            equilibrated,
-                            b.row(r0 + ri),
-                            xrow,
-                            &mut scratch,
-                        );
-                    }
+                    solve_left_rows(f, nb, b_rows, x_rows, &mut scratch);
                 });
             }
         });
         Ok(())
+    }
+
+    /// The factored data as the left-solve kernels read it.
+    fn factors(&self) -> Factors<'_> {
+        Factors {
+            lu: &self.lu,
+            lut: &self.lut,
+            perm: &self.perm,
+            row_scale: &self.row_scale,
+            col_scale: &self.col_scale,
+            equilibrated: self.equilibrated,
+        }
     }
 
     /// Solves `A · x = b` into `out` (allocation-free).
@@ -1225,7 +1489,18 @@ impl LuWorkspace {
         if self.dim() == 0 || !self.factored {
             return 1.0;
         }
-        let kappa = self.a_norm1 * inverse_norm_one_estimate_with(&self.lu, &self.perm);
+        // The adjoint solves run on the transposed factors, unblocked
+        // and unscaled: the operations and their order are those of
+        // `Lu`'s column-wise solve, at unit stride.
+        let f = Factors {
+            equilibrated: false,
+            ..self.factors()
+        };
+        let n = self.dim();
+        let kappa = self.a_norm1
+            * inverse_norm_one_estimate_with(&self.lu, &self.perm, |b, y, x| {
+                solve_left_rows(f, n, b, x, y)
+            });
         performa_obs::histogram_record("linalg.lu.condition", kappa);
         kappa
     }

@@ -10,7 +10,7 @@
 //! blocking boundaries. Downstream consumers (`kron`, `expm`) are pinned
 //! too, since they compose many products.
 
-use performa_linalg::gemm::{gemm_into, MR, NR};
+use performa_linalg::gemm::{gemm_into, KC, MR, NR};
 use performa_linalg::{expm, kron, Matrix};
 
 /// Deterministic xorshift64* — keeps the sweep reproducible without an
@@ -105,7 +105,9 @@ fn blocking_boundary_shapes_match_naive() {
         NR - 1,
         NR,
         NR + 1,
+        2 * MR + 1,
         2 * NR + 3,
+        3 * NR - 1,
         127,
         128,
         129,
@@ -116,6 +118,23 @@ fn blocking_boundary_shapes_match_naive() {
             let a = rng.matrix(m, k);
             let b = rng.matrix(k, n);
             assert_blocked_matches_naive(&a, &b, "boundary");
+        }
+    }
+}
+
+#[test]
+fn register_tile_ragged_edges_match_naive() {
+    // Every row count through two tiles and a ragged third, against
+    // column counts one off each tile multiple, at depths on either side
+    // of the KC panel boundary.
+    let mut rng = Rng(0x5151_7A7A_0F0F_3C3C);
+    for m in 1..=2 * MR + 1 {
+        for n in [NR - 1, NR + 1, 2 * NR - 1, 3 * NR + 5] {
+            for k in [1, KC - 1, KC + 1] {
+                let a = rng.matrix(m, k);
+                let b = rng.matrix(k, n);
+                assert_blocked_matches_naive(&a, &b, "ragged tile");
+            }
         }
     }
 }

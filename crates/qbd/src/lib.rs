@@ -91,4 +91,4 @@ pub type Result<T> = std::result::Result<T, QbdError>;
 /// order. Stale store records (successes and failures alike) then miss
 /// on lookup and are transparently re-solved, so a resumed sweep can
 /// never mix outputs from two different numerical regimes.
-pub const SOLVER_VERSION: u32 = 1;
+pub const SOLVER_VERSION: u32 = 2;

@@ -9,7 +9,7 @@ use performa_linalg::{
 };
 
 use crate::fault;
-use crate::solution::QbdSolution;
+use crate::solution::{geometric_eps, QbdSolution};
 use crate::supervisor::{supervise, GStrategy, SupervisorOptions};
 use crate::workspace::{self, gemm, Workspace};
 use crate::{QbdError, Result};
@@ -1030,22 +1030,11 @@ impl Qbd {
         // with normalization π0·ε + π1·(I−R)⁻¹·ε = 1 replacing one
         // (dependent) balance column.
         //
-        // The m-sized pieces reuse the thread workspace; only the 2m
-        // boundary system itself is assembled fresh (it runs once per
-        // solve, not per iteration).
-        let (geo_eps, a1_ra2) = workspace::with(m, |ws| {
-            // t1 ← I − R, factored; geo_eps = (I−R)⁻¹·ε.
-            ws.t1.copy_from(&r);
-            ws.t1.scale_mut(-1.0);
-            ws.t1.add_scaled_identity(1.0);
-            ws.lu.factor(&ws.t1)?;
-            let mut geo_eps = Vector::zeros(m);
-            ws.lu.solve_vec_into(&Vector::ones(m), &mut geo_eps)?;
-            // a1_ra2 = A1 + R·A2.
-            let mut a1_ra2 = self.a1.clone();
-            gemm(1.0, &r, &self.a2, 1.0, &mut a1_ra2);
-            Ok::<_, QbdError>((geo_eps, a1_ra2))
-        })?;
+        // The solution's geometric caches reuse this one factorization
+        // of I − R (geo_eps = (I−R)⁻¹·ε).
+        let (i_minus_r, geo_eps) = geometric_eps(&r)?;
+        let mut a1_ra2 = self.a1.clone();
+        gemm(1.0, &r, &self.a2, 1.0, &mut a1_ra2);
 
         let dim = 2 * m;
         let mut sys = Matrix::zeros(dim, dim); // x · sys = rhs
@@ -1083,7 +1072,10 @@ impl Qbd {
             pi0[i] = x[(0, i)].max(0.0);
             pi1[i] = x[(0, m + i)].max(0.0);
         }
-        Ok((QbdSolution::from_parts(pi0, pi1, r, g)?, cond))
+        Ok((
+            QbdSolution::from_factored(pi0, pi1, r, g, &i_minus_r, geo_eps)?,
+            cond,
+        ))
     }
 }
 

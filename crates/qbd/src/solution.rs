@@ -25,6 +25,19 @@ pub struct QbdSolution {
     geo3_eps: Vector,
 }
 
+/// Factors `I − R` and solves `(I−R)⁻¹·ε` — the shared first step of
+/// [`QbdSolution::from_parts`] and the solver's boundary system.
+///
+/// # Errors
+///
+/// Propagates the factorization failure.
+pub(crate) fn geometric_eps(r: &Matrix) -> Result<(Lu, Vector)> {
+    let m = r.nrows();
+    let lu = Lu::factor(&(Matrix::identity(m) - r))?;
+    let geo_eps = lu.solve_vec(&Vector::ones(m))?;
+    Ok((lu, geo_eps))
+}
+
 impl QbdSolution {
     /// Assembles a solution from its parts, caching the geometric sums —
     /// what the solver returns, and exactly the inverse of reading
@@ -44,10 +57,27 @@ impl QbdSolution {
     /// either way the parts do not describe a positive-recurrent chain,
     /// and metrics read off them would be meaningless.
     pub fn from_parts(pi0: Vector, pi1: Vector, r: Matrix, g: Matrix) -> Result<Self> {
-        let m = r.nrows();
-        let i_minus_r = Matrix::identity(m) - &r;
-        let lu = Lu::factor(&i_minus_r)?;
-        let geo_eps = lu.solve_vec(&Vector::ones(m))?;
+        let (lu, geo_eps) = geometric_eps(&r)?;
+        Self::from_factored(pi0, pi1, r, g, &lu, geo_eps)
+    }
+
+    /// [`Self::from_parts`] on an `I − R` the caller has already factored
+    /// by [`geometric_eps`] — the solver needs `(I−R)⁻¹·ε` for the
+    /// boundary system first, and this keeps it at one factorization per
+    /// solve. Same factors, same solves: the result is bit-identical to
+    /// [`Self::from_parts`] on the same parts.
+    ///
+    /// # Errors
+    ///
+    /// See [`Self::from_parts`].
+    pub(crate) fn from_factored(
+        pi0: Vector,
+        pi1: Vector,
+        r: Matrix,
+        g: Matrix,
+        lu: &Lu,
+        geo_eps: Vector,
+    ) -> Result<Self> {
         if let Some(&entry) = geo_eps.iter().find(|v| !(v.is_finite() && **v >= 0.0)) {
             return Err(QbdError::InvalidRateMatrix { entry });
         }
