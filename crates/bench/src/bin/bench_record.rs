@@ -102,7 +102,8 @@ struct Case {
     /// real parallel gain; on a serial run it equals `ns_per_iter` and
     /// the ratio is 1.
     baseline_ns: Option<f64>,
-    /// ∞-norm of `A2 + A1·G + A0·G²` for `g_solve` cases.
+    /// [`Qbd::g_residual`],
+    /// `‖A2 + A1·G + A0·G²‖∞`, for `g_solve` cases.
     residual: Option<f64>,
     /// Flop rate computed from the shapes (`kernel` cases).
     gflops: Option<f64>,
@@ -323,7 +324,7 @@ fn main() {
             ns
         };
         let g = qbd.g_matrix(opts).unwrap();
-        let residual = (qbd.a2() + &(qbd.a1() * &g) + &(qbd.a0() * &(&g * &g))).norm_inf();
+        let residual = qbd.g_residual(&g);
         eprintln!(
             "g_solve {label} (m={m}): {ns:>14.0} ns  serial {baseline:>14.0} ns \
              ({threads} thread(s))  residual {residual:.2e}"

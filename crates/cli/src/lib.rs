@@ -121,9 +121,10 @@ SOLVER LADDER OPTIONS (solve only; sweep points use the default ladder):
   --fallback LIST        comma-separated G-matrix strategy chain, tried in
                          order: neuts|functional|logred
                          (default logred,neuts,functional)
-  --hardening SPEC       numerical hardening for every stage: none|full or
-                         a '+'-joined list of shift|equilibrate|refine
-                         (default none; failing stages auto-harden)
+  --hardening none|full  numerical hardening for every stage: full adds the
+                         spectral shift, equilibration and iterative
+                         refinement (default none; failing stages
+                         auto-harden)
   --tolerance T          target solver tolerance (default 1e-10)
 
 OBSERVABILITY OPTIONS (all commands):
@@ -267,7 +268,7 @@ const BOOL_FLAGS: &[&str] = &["profile", "resume", "retry-failed"];
 
 impl Args {
     /// Parses `--key value` pairs; rejects dangling keys and stray
-    /// positional words. Flags listed in [`BOOL_FLAGS`] take no value.
+    /// positional words. Flags listed in `BOOL_FLAGS` take no value.
     pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Self> {
         let mut map = HashMap::new();
         let mut it = raw.into_iter().peekable();

@@ -348,3 +348,14 @@ fn metrics_out_writes_valid_prometheus_exposition() {
     assert!(text.contains("# TYPE performa_"), "{text}");
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn hardening_is_one_switch() {
+    let (code, out, err) = performa_code(&["solve", "--down", "exp:10", "--hardening", "full"]);
+    assert_eq!(code, Some(0), "{out}\n{err}");
+    assert!(out.contains("mean queue length"), "{out}");
+    let (code, _, err) =
+        performa_code(&["solve", "--down", "exp:10", "--hardening", "shift+refine"]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(err.contains("expected none or full"), "{err}");
+}

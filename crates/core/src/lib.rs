@@ -102,9 +102,10 @@ pub type Result<T> = std::result::Result<T, CoreError>;
 /// One-line import for experiment binaries and downstream tools.
 ///
 /// Pulls in the model builders, the sweep machinery, the supervised
-/// solver configuration (including the [`GStrategy`]/[`Hardening`]
-/// string round-trips) and the distribution specs — everything a
-/// typical figure-reproduction `main` touches:
+/// solver configuration (including the [`GStrategy`] and
+/// [`Hardening`](performa_qbd::Hardening) string round-trips) and the
+/// distribution specs — everything a typical figure-reproduction `main`
+/// touches:
 ///
 /// ```
 /// use performa_core::prelude::*;

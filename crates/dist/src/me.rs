@@ -1,4 +1,4 @@
-use performa_linalg::{expm::expm, lu::Lu, Matrix, Vector};
+use performa_linalg::{expm::expm, lu::LuWorkspace, Matrix, Vector};
 
 use crate::{DistError, DistributionFn, Moments, Result};
 
@@ -67,7 +67,7 @@ impl MatrixExp {
                 message: format!("entrance vector must sum to 1, sums to {sum}"),
             });
         }
-        if Lu::factor(&b).is_err() {
+        if LuWorkspace::new(b.nrows()).factor(&b).is_err() {
             return Err(DistError::InvalidRepresentation {
                 message: "B is singular: the distribution would have infinite mean".into(),
             });
@@ -186,11 +186,16 @@ impl MatrixExp {
     /// Panics if `k == 0` (the zeroth moment is trivially 1).
     fn raw_moment_impl(&self, k: u32) -> f64 {
         assert!(k >= 1, "raw moments are defined for k >= 1");
-        let lu = Lu::factor(&self.b).expect("validated non-singular at construction");
+        let mut lu = LuWorkspace::new(self.dim());
+        lu.factor(&self.b)
+            .expect("validated non-singular at construction");
         // Compute p · B^{-k} by repeatedly solving x·B = previous.
         let mut x = self.p.clone();
+        let mut next = Vector::zeros(self.dim());
         for _ in 0..k {
-            x = lu.solve_left_vec(&x).expect("dimension fixed");
+            lu.solve_left_vec_into(&x, &mut next)
+                .expect("dimension fixed");
+            std::mem::swap(&mut x, &mut next);
         }
         let mut factorial = 1.0;
         for i in 2..=k {

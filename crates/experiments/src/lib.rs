@@ -243,7 +243,8 @@ pub fn arg_or<T: std::str::FromStr>(key: &str, default: T) -> T {
 ///   into per-point deadlines by the cost-informed policy.
 ///
 /// Every binary also gets the graceful-shutdown fabric: the first
-/// Ctrl-C trips the process-wide [`CancelToken`], the sweep drains and
+/// Ctrl-C trips the process-wide
+/// [`CancelToken`](performa_core::CancelToken), the sweep drains and
 /// flushes the store, and [`exit_if_partial`] maps the interrupted run
 /// to [`performa_core::EXIT_PARTIAL`]; a second Ctrl-C kills the
 /// process.

@@ -7,7 +7,7 @@
 //! degree-13 Padé approximant, which is more than accurate enough for the
 //! well-conditioned generator matrices used here.
 
-use crate::lu::Lu;
+use crate::lu::LuWorkspace;
 use crate::{Matrix, Result};
 
 /// Degree-13 Padé coefficients (Higham 2005).
@@ -89,8 +89,10 @@ pub fn expm(a: &Matrix) -> Result<Matrix> {
     // exp(A) ≈ (V − U)⁻¹ (V + U)
     let denom = &v - &u;
     let numer = &v + &u;
-    let lu = Lu::factor(&denom)?;
-    let mut e = lu.solve_mat(&numer)?;
+    let mut lu = LuWorkspace::new(n);
+    lu.factor(&denom)?;
+    let mut e = Matrix::zeros(n, n);
+    lu.solve_mat_into(&numer, &mut e)?;
 
     // Squaring phase.
     for _ in 0..s {

@@ -5,8 +5,8 @@
 //! moderately sized matrices (tens to a few hundred rows):
 //!
 //! * construction and arithmetic on row-major [`Matrix`] values,
-//! * LU factorization with partial pivoting ([`lu::Lu`]) for linear solves and
-//!   inverses,
+//! * LU factorization with partial pivoting ([`lu::LuWorkspace`], the one
+//!   LU type) for linear solves in either direction,
 //! * Kronecker products and sums ([`kron`]) used to aggregate independent
 //!   server processes,
 //! * spectral utilities ([`spectral`]) — spectral radius estimates and matrix

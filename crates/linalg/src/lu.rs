@@ -1,20 +1,19 @@
-//! LU factorization with partial pivoting, linear solves, and inverses.
+//! LU factorization with partial pivoting and linear solves.
 //!
 //! The QBD solver repeatedly solves systems of the form `X · A = B` (row
 //! vectors acting from the left, as is conventional in matrix-analytic
-//! methods) and `A · X = B`. Both directions are provided on the factored
-//! form [`Lu`], so a factorization can be reused across many right-hand
-//! sides (`C-INTERMEDIATE`).
+//! methods) and `A · X = B`. [`LuWorkspace`] is the one LU type: it
+//! factors into storage it owns and solves either direction, for one
+//! right-hand side or a whole matrix of them, so a factorization serves
+//! many right-hand sides and the next matrix of the same size reuses the
+//! buffers without heap allocation — the form the QBD inner loops use.
+//! One-shot callers allocate a workspace, factor and solve. Besides the
+//! combined factors the workspace keeps a transposed copy, so left
+//! (row-vector) solves run on unit-stride data.
 //!
-//! Two entry points share the same in-place elimination core:
-//!
-//! * [`Lu::factor`] — allocate-and-factor, the convenient form for
-//!   one-shot solves;
-//! * [`LuWorkspace`] — factor into caller-owned storage and solve whole
-//!   matrices of right-hand sides without any heap allocation, the form
-//!   the QBD inner loops use. The workspace additionally keeps a
-//!   transposed copy of the factors so left (row-vector) solves run on
-//!   unit-stride data.
+//! [`LuWorkspace::factor_hardened`] is the one hardened configuration:
+//! the matrix is equilibrated before elimination and the original is
+//! kept, so the `*_refined_into` solves can refine against it.
 //!
 //! # Blocking
 //!
@@ -35,39 +34,14 @@
 //! seeded with the target entry, in the order the unblocked loops use.
 //! A matrix with `n < 3·NB` is a single diagonal block and runs exactly
 //! the unblocked loops, bit for bit; so does a solve with fewer than
-//! 16 right-hand-side columns (right) or 4 rows (left). The parallel
+//! 16 right-hand-side columns (right) or 4 rows (left), which covers
+//! every one-vector solve. The parallel
 //! schedules (row-parallel trailing updates, column-striped right
 //! solves, row-partitioned left solves) are bitwise identical to serial.
 
 use crate::compensated::Accumulator;
 use crate::gemm::{auto_workers, gemm_acc, Dims, Lhs, Update, View};
 use crate::{LinalgError, Matrix, Result, Vector};
-
-/// How [`LuWorkspace::factor_with`] prepares a system.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FactorOptions {
-    /// Row/column equilibration: scale the matrix to unit max-norm rows
-    /// and columns before elimination (`Aₛ = R·A·C`), undoing the
-    /// scaling transparently inside every solve. Tames the wild row
-    /// scales of stiff generators (TPT stage rates spanning `p³²`)
-    /// that otherwise distort partial pivoting.
-    pub equilibrate: bool,
-    /// Keep a copy of the unscaled input so solves can be iteratively
-    /// refined against the *original* system
-    /// ([`LuWorkspace::solve_mat_refined_into`] and friends require it).
-    pub retain: bool,
-}
-
-impl FactorOptions {
-    /// Equilibration and refinement both enabled — the hardened
-    /// configuration the QBD recovery ladder escalates to.
-    pub fn hardened() -> Self {
-        FactorOptions {
-            equilibrate: true,
-            retain: true,
-        }
-    }
-}
 
 /// Componentwise backward error at which iterative refinement declares
 /// victory: a couple of units in the last place, the best a single
@@ -171,30 +145,27 @@ fn panel_len(n: usize) -> usize {
 /// staging scratch ([`panel_len`]).
 ///
 /// On success `lu` holds the combined factors (unit-lower `L` below the
-/// diagonal, `U` on and above), `perm[i]` names the original row stored
-/// in position `i`, and the returned value is the permutation sign.
-fn factor_in_place(lu: &mut Matrix, perm: &mut [usize], panel: &mut [f64]) -> Result<f64> {
+/// diagonal, `U` on and above) and `perm[i]` names the original row
+/// stored in position `i`.
+fn factor_in_place(lu: &mut Matrix, perm: &mut [usize], panel: &mut [f64]) -> Result<()> {
     for (i, p) in perm.iter_mut().enumerate() {
         *p = i;
     }
     let n = lu.nrows();
-    let mut sign = 1.0;
     for (k0, k1) in diag_blocks(n, block_size(n)) {
-        sign *= eliminate(lu, perm, k0, k1)?;
+        eliminate(lu, perm, k0, k1)?;
         if k1 < n {
             update_trailing(lu, k0, k1, panel);
         }
     }
-    Ok(sign)
+    Ok(())
 }
 
 /// Partial-pivoting elimination of columns `[k0, k1)` over rows
 /// `k0..n`: pivot rows are swapped whole, rank-one updates stop at
-/// column `k1`. With `(0, n)` this is the whole unblocked LU. Returns
-/// the sign of the row swaps.
-fn eliminate(lu: &mut Matrix, perm: &mut [usize], k0: usize, k1: usize) -> Result<f64> {
+/// column `k1`. With `(0, n)` this is the whole unblocked LU.
+fn eliminate(lu: &mut Matrix, perm: &mut [usize], k0: usize, k1: usize) -> Result<()> {
     let n = lu.nrows();
-    let mut sign = 1.0;
     for k in k0..k1 {
         // Partial pivoting: pick the largest magnitude entry in column k.
         let mut pivot_row = k;
@@ -214,7 +185,6 @@ fn eliminate(lu: &mut Matrix, perm: &mut [usize], k0: usize, k1: usize) -> Resul
             let (a, b) = data.split_at_mut(pivot_row * n);
             a[k * n..(k + 1) * n].swap_with_slice(&mut b[..n]);
             perm.swap(k, pivot_row);
-            sign = -sign;
         }
         // Eliminate below the pivot, operating on whole row tails so the
         // update is a unit-stride axpy.
@@ -232,7 +202,7 @@ fn eliminate(lu: &mut Matrix, perm: &mut [usize], k0: usize, k1: usize) -> Resul
             }
         }
     }
-    Ok(sign)
+    Ok(())
 }
 
 /// The block step after panel `[k0, k1)`: `U12 ← L11⁻¹·A12` by
@@ -282,19 +252,20 @@ fn update_trailing(lu: &mut Matrix, k0: usize, k1: usize, panel: &mut [f64]) {
     );
 }
 
-/// The multi-right-hand-side solves stay serial below half the GEMM
-/// flop gate (substitution reuses data less than a product of the same
-/// flop count), even when more kernel threads are configured.
-fn par_min_solve_flops() -> usize {
-    crate::threading::par_min_flops() / 2
-}
-
-/// Row-blocked substitution for `A · X = B` on already-permuted rows:
-/// `out` must hold `P·B`; on return it holds `X`.
-fn substitute_rows_in_place(lu: &Matrix, out: &mut Matrix) {
-    let w = out.ncols();
-    let nb = solve_block_size(lu.nrows(), w, MIN_BLOCKED_COLS);
-    substitute_rows_slice(lu, out.as_mut_slice(), w, nb);
+/// Worker count for a multi-right-hand-side solve of `rhs` vectors
+/// against an `n×n` factor: the process-wide kernel thread count, or 1
+/// below half the GEMM flop gate (substitution reuses data less than a
+/// product of the same flop count).
+fn solve_workers(n: usize, rhs: usize) -> usize {
+    let flops = 2usize
+        .saturating_mul(n)
+        .saturating_mul(n)
+        .saturating_mul(rhs);
+    if flops >= crate::threading::par_min_flops() / 2 {
+        crate::threading::threads()
+    } else {
+        1
+    }
 }
 
 /// Left-looking blocked substitution on a raw row-major buffer of width
@@ -384,16 +355,19 @@ fn substitute_rows_slice(lu: &Matrix, data: &mut [f64], w: usize, nb: usize) {
 /// stripes are copied back. The per-column arithmetic is untouched, so
 /// results are bitwise identical to the serial schedule at any worker
 /// count.
+///
+/// `out` must hold `P·B` (the permuted right-hand side); on return it
+/// holds `X`.
 fn substitute_rows_threaded(lu: &Matrix, out: &mut Matrix, workers: usize) {
     let n = lu.nrows();
     let w = out.ncols();
     let workers = workers.max(1).min(w);
-    if workers <= 1 {
-        substitute_rows_in_place(lu, out);
-        return;
-    }
     // The block size follows the whole right-hand side, not a stripe.
     let nb = solve_block_size(n, w, MIN_BLOCKED_COLS);
+    if workers <= 1 {
+        substitute_rows_slice(lu, out.as_mut_slice(), w, nb);
+        return;
+    }
     let bounds = crate::threading::partition_blocks(w, workers);
     let mut stripes: Vec<(usize, usize, Vec<f64>)> = bounds
         .windows(2)
@@ -564,33 +538,6 @@ fn substitute_vec_in_place(lu: &Matrix, x: &mut [f64]) {
     }
 }
 
-/// Single left solve `x · A = b` against factored data.
-///
-/// `x·A = b ⇔ Aᵀ·xᵀ = bᵀ`. With `P·A = L·U`: solve `Uᵀ·y = b` (forward),
-/// `Lᵀ·z = y` (backward, in place on `y`), then scatter `x = Pᵀ·z`.
-/// Accesses `lu` column-wise; [`LuWorkspace`] avoids the strided reads by
-/// keeping a transposed copy of the factors.
-fn solve_left_vec_with(lu: &Matrix, perm: &[usize], b: &[f64], y: &mut [f64], x: &mut [f64]) {
-    let n = lu.nrows();
-    for i in 0..n {
-        let mut acc = b[i];
-        for (j, yj) in y[..i].iter().enumerate() {
-            acc -= lu[(j, i)] * yj;
-        }
-        y[i] = acc / lu[(i, i)];
-    }
-    for i in (0..n).rev() {
-        let mut acc = y[i];
-        for j in (i + 1)..n {
-            acc -= lu[(j, i)] * y[j];
-        }
-        y[i] = acc;
-    }
-    for (i, &p) in perm.iter().enumerate() {
-        x[p] = y[i];
-    }
-}
-
 /// One Oettli–Prager term `|r| / (|A||X| + |B|)`; zero denominators with
 /// zero residuals are exact, non-finite residuals are reported as
 /// unbounded so a destroyed solve can never look converged.
@@ -607,49 +554,34 @@ fn omega_term(r: f64, denom: f64) -> f64 {
     }
 }
 
-/// Writes the residual `R = B − A·X` into `resid` using compensated
-/// (twice-working-precision) dot products and returns the componentwise
-/// backward error `ω = maxᵢⱼ |R|ᵢⱼ / (|A|·|X| + |B|)ᵢⱼ`.
-fn residual_omega_right(a: &Matrix, x: &Matrix, b: &Matrix, resid: &mut Matrix) -> f64 {
-    let n = a.nrows();
-    let w = b.ncols();
-    let mut omega = 0.0_f64;
-    for i in 0..n {
-        let arow = a.row(i);
-        for j in 0..w {
-            let bij = b[(i, j)];
-            let mut acc = Accumulator::new();
-            acc.add(bij);
-            let mut denom = bij.abs();
-            for (k, &aik) in arow.iter().enumerate() {
-                let xkj = x[(k, j)];
-                acc.add_product(-aik, xkj);
-                denom += aik.abs() * xkj.abs();
-            }
-            let r = acc.value();
-            resid[(i, j)] = r;
-            omega = omega.max(omega_term(r, denom));
-        }
-    }
-    omega
+/// The side a solve acts on: `A·X = B` (right) or `X·A = B` (left).
+#[derive(Debug, Clone, Copy)]
+enum Side {
+    Right,
+    Left,
 }
 
-/// Left-system counterpart of [`residual_omega_right`]: residual
-/// `R = B − X·A` and its componentwise backward error.
-fn residual_omega_left(a: &Matrix, x: &Matrix, b: &Matrix, resid: &mut Matrix) -> f64 {
-    let n = a.nrows();
+/// Writes the residual `R = B − A·X` (right) or `R = B − X·A` (left)
+/// into `resid` using compensated (twice-working-precision) dot products
+/// and returns the componentwise backward error
+/// `ω = maxᵢⱼ |R|ᵢⱼ / (|A|·|X| + |B|)ᵢⱼ` (`|X|·|A|` on the left).
+fn residual_omega(side: Side, a: &Matrix, x: &Matrix, b: &Matrix, resid: &mut Matrix) -> f64 {
     let mut omega = 0.0_f64;
     for i in 0..b.nrows() {
-        let xrow = x.row(i);
-        for j in 0..n {
+        // Row i of the product: row i of its first factor times the second.
+        let (row, second) = match side {
+            Side::Right => (a.row(i), x),
+            Side::Left => (x.row(i), a),
+        };
+        for j in 0..b.ncols() {
             let bij = b[(i, j)];
             let mut acc = Accumulator::new();
             acc.add(bij);
             let mut denom = bij.abs();
-            for (k, &xik) in xrow.iter().enumerate() {
-                let akj = a[(k, j)];
-                acc.add_product(-xik, akj);
-                denom += xik.abs() * akj.abs();
+            for (k, &p) in row.iter().enumerate() {
+                let q = second[(k, j)];
+                acc.add_product(-p, q);
+                denom += p.abs() * q.abs();
             }
             let r = acc.value();
             resid[(i, j)] = r;
@@ -663,14 +595,11 @@ fn residual_omega_left(a: &Matrix, x: &Matrix, b: &Matrix, resid: &mut Matrix) -
 /// (Hager 1984, as refined by Higham): a handful of forward/adjoint
 /// solves, `O(k·n²)` instead of the `O(n³)` of an explicit inverse.
 ///
-/// `solve_left(b, y, x)` solves the adjoint system `x·A = b` (`y` is a
-/// length-`n` scratch).
-fn inverse_norm_one_estimate_with(
-    lu: &Matrix,
-    perm: &[usize],
-    mut solve_left: impl FnMut(&[f64], &mut [f64], &mut [f64]),
-) -> f64 {
-    let n = lu.nrows();
+/// The adjoint solves run unblocked on the transposed factors; `f` must
+/// be unscaled, so the estimate describes the system the substitutions
+/// run on.
+fn inverse_norm_one_estimate(f: Factors<'_>) -> f64 {
+    let n = f.lu.nrows();
     if n == 0 {
         return 0.0;
     }
@@ -678,25 +607,21 @@ fn inverse_norm_one_estimate_with(
     // (Higham's estimator almost always converges in 2).
     let mut x = vec![1.0 / n as f64; n];
     let mut y = vec![0.0; n];
-    let mut scratch = vec![0.0; n];
+    let mut sign = vec![0.0; n];
     let mut z = vec![0.0; n];
     let mut estimate = 0.0;
     let mut visited = vec![false; n];
     for _ in 0..5 {
-        solve_vec_with(lu, perm, &x, &mut y);
+        solve_vec_with(f.lu, f.perm, &x, &mut y);
         estimate = y.iter().map(|v| v.abs()).sum();
         if !estimate.is_finite() {
             return f64::INFINITY;
         }
         // ξ = sign(y); solve z·A = ξ as a row system.
-        for (s, &v) in scratch.iter_mut().zip(&y) {
+        for (s, &v) in sign.iter_mut().zip(&y) {
             *s = if v >= 0.0 { 1.0 } else { -1.0 };
         }
-        let xi = std::mem::take(&mut scratch);
-        let mut ybuf = std::mem::take(&mut y);
-        solve_left(&xi, &mut ybuf, &mut z);
-        scratch = xi;
-        y = ybuf;
+        solve_left_rows(f, n, &sign, &mut z, &mut y);
         if !z.iter().all(|v| v.is_finite()) {
             return f64::INFINITY;
         }
@@ -720,228 +645,35 @@ fn inverse_norm_one_estimate_with(
     estimate
 }
 
-/// An LU factorization `P·A = L·U` of a square matrix with partial pivoting.
+/// An LU factorization `P·A = L·U` with partial pivoting, in reusable
+/// storage: factor into the workspace's buffers, solve many right-hand
+/// sides, re-factor the next matrix — all without heap allocation after
+/// construction.
+///
+/// This is the one LU type: the QBD fixed-point loops factor a fresh
+/// system into it every iteration, and one-shot solves (stationary
+/// vectors, moments, the boundary system) allocate one, factor and
+/// solve. Besides the combined factors it keeps a transposed copy so
+/// left (row-vector) solves read unit-stride data.
 ///
 /// # Example
 ///
 /// ```
-/// use performa_linalg::{Matrix, Vector, lu::Lu};
-///
-/// let a = Matrix::from_rows(&[&[4.0, 3.0], &[6.0, 3.0]]);
-/// let lu = Lu::factor(&a)?;
-/// let x = lu.solve_vec(&Vector::from(vec![10.0, 12.0]))?;
-/// // A x = b  =>  x = [1, 2]
-/// assert!((x[0] - 1.0).abs() < 1e-12);
-/// assert!((x[1] - 2.0).abs() < 1e-12);
-/// # Ok::<(), performa_linalg::LinalgError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct Lu {
-    /// Combined L (unit lower, below diagonal) and U (upper) factors.
-    lu: Matrix,
-    /// Row permutation: `perm[i]` is the original row stored in position `i`.
-    perm: Vec<usize>,
-    /// Parity of the permutation (+1.0 or -1.0), for determinants.
-    sign: f64,
-    /// 1-norm of the original matrix, kept for condition estimation.
-    a_norm1: f64,
-}
-
-impl Lu {
-    /// Factors a square matrix.
-    ///
-    /// # Errors
-    ///
-    /// * [`LinalgError::NotSquare`] if `a` is rectangular.
-    /// * [`LinalgError::Singular`] if a pivot is exactly zero (the matrix is
-    ///   singular to working precision).
-    pub fn factor(a: &Matrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare { shape: a.shape() });
-        }
-        let started = performa_obs::timing_active().then(std::time::Instant::now);
-        let n = a.nrows();
-        let a_norm1 = a.norm_one();
-        let mut lu = a.clone();
-        let mut perm: Vec<usize> = vec![0; n];
-        let mut panel = vec![0.0; panel_len(n)];
-        let sign = factor_in_place(&mut lu, &mut perm, &mut panel)?;
-
-        if let Some(t0) = started {
-            performa_obs::histogram_record("linalg.lu.factor_s", t0.elapsed().as_secs_f64());
-        }
-        Ok(Lu {
-            lu,
-            perm,
-            sign,
-            a_norm1,
-        })
-    }
-
-    /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
-        self.lu.nrows()
-    }
-
-    /// Determinant of the original matrix.
-    pub fn det(&self) -> f64 {
-        let mut d = self.sign;
-        for i in 0..self.dim() {
-            d *= self.lu[(i, i)];
-        }
-        d
-    }
-
-    /// Solves `A · x = b` for a single right-hand side.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::ShapeMismatch`] if `b.len() != dim()`.
-    pub fn solve_vec(&self, b: &Vector) -> Result<Vector> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "solve_vec",
-                left: (n, n),
-                right: (b.len(), 1),
-            });
-        }
-        let mut x = vec![0.0; n];
-        solve_vec_with(&self.lu, &self.perm, b.as_slice(), &mut x);
-        Ok(Vector::from(x))
-    }
-
-    /// Solves `A · X = B` for all right-hand-side columns at once by
-    /// row-blocked substitution.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::ShapeMismatch`] if `B.nrows() != dim()`.
-    pub fn solve_mat(&self, b: &Matrix) -> Result<Matrix> {
-        let n = self.dim();
-        if b.nrows() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "solve_mat",
-                left: (n, n),
-                right: b.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(n, b.ncols());
-        for (i, &p) in self.perm.iter().enumerate() {
-            out.row_mut(i).copy_from_slice(b.row(p));
-        }
-        substitute_rows_in_place(&self.lu, &mut out);
-        Ok(out)
-    }
-
-    /// Solves `x · A = b` (row-vector system) for a single right-hand side.
-    ///
-    /// This is the natural direction for stationary-vector computations.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::ShapeMismatch`] if `b.len() != dim()`.
-    pub fn solve_left_vec(&self, b: &Vector) -> Result<Vector> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "solve_left_vec",
-                left: (1, b.len()),
-                right: (n, n),
-            });
-        }
-        let mut y = vec![0.0; n];
-        let mut x = vec![0.0; n];
-        solve_left_vec_with(&self.lu, &self.perm, b.as_slice(), &mut y, &mut x);
-        Ok(Vector::from(x))
-    }
-
-    /// Solves `X · A = B` row by row.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::ShapeMismatch`] if `B.ncols() != dim()`.
-    pub fn solve_left_mat(&self, b: &Matrix) -> Result<Matrix> {
-        let n = self.dim();
-        if b.ncols() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "solve_left_mat",
-                left: b.shape(),
-                right: (n, n),
-            });
-        }
-        let mut out = Matrix::zeros(b.nrows(), n);
-        let mut y = vec![0.0; n];
-        for i in 0..b.nrows() {
-            solve_left_vec_with(&self.lu, &self.perm, b.row(i), &mut y, out.row_mut(i));
-        }
-        Ok(out)
-    }
-
-    /// Computes the inverse of the original matrix.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors (cannot occur for a valid factorization).
-    pub fn inverse(&self) -> Result<Matrix> {
-        self.solve_mat(&Matrix::identity(self.dim()))
-    }
-
-    /// 1-norm `‖A‖₁` of the original (unfactored) matrix.
-    pub fn norm_one(&self) -> f64 {
-        self.a_norm1
-    }
-
-    /// Hager-style lower-bound estimate of `‖A⁻¹‖₁`.
-    ///
-    /// Runs a handful of forward/adjoint solves on the existing factors
-    /// (Hager 1984, as refined by Higham) — `O(k·n²)` on top of the
-    /// factorization instead of the `O(n³)` an explicit inverse would
-    /// cost. The estimate is a lower bound that is almost always within a
-    /// small factor of the true norm.
-    pub fn inverse_norm_one_estimate(&self) -> f64 {
-        inverse_norm_one_estimate_with(&self.lu, &self.perm, |b, y, x| {
-            solve_left_vec_with(&self.lu, &self.perm, b, y, x)
-        })
-    }
-
-    /// Cheap 1-norm condition-number estimate `κ₁(A) ≈ ‖A‖₁·‖A⁻¹‖₁`.
-    ///
-    /// Uses [`Lu::inverse_norm_one_estimate`]; the result is a lower
-    /// bound on the true `κ₁`. Returns `f64::INFINITY` when the factors
-    /// have decayed to non-finite values (numerically destroyed systems).
-    pub fn condition_estimate(&self) -> f64 {
-        if self.dim() == 0 {
-            return 1.0;
-        }
-        let kappa = self.a_norm1 * self.inverse_norm_one_estimate();
-        performa_obs::histogram_record("linalg.lu.condition", kappa);
-        kappa
-    }
-}
-
-/// Reusable LU storage: factor into caller-owned buffers, solve many
-/// right-hand sides, re-factor the next matrix — all without heap
-/// allocation after construction.
-///
-/// This is the factorization form used inside the QBD fixed-point loops,
-/// where a fresh system is factored every iteration. Besides the combined
-/// factors it keeps a transposed copy so left (row-vector) solves read
-/// unit-stride data.
-///
-/// # Example
-///
-/// ```
-/// use performa_linalg::{lu::LuWorkspace, Matrix};
+/// use performa_linalg::{lu::LuWorkspace, Matrix, Vector};
 ///
 /// let mut ws = LuWorkspace::new(2);
 /// let a = Matrix::from_rows(&[&[4.0, 3.0], &[6.0, 3.0]]);
-/// let b = Matrix::identity(2);
-/// let mut x = Matrix::zeros(2, 2);
 /// ws.factor(&a)?;
-/// ws.solve_mat_into(&b, &mut x)?; // x = A⁻¹
-/// let round_trip = &a * &x;
-/// assert!(round_trip.max_abs_diff(&Matrix::identity(2)) < 1e-12);
+///
+/// // A x = b  =>  x = [1, 2]
+/// let mut x = Vector::zeros(2);
+/// ws.solve_vec_into(&Vector::from(vec![10.0, 12.0]), &mut x)?;
+/// assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] - 2.0).abs() < 1e-12);
+///
+/// // Whole matrices of right-hand sides: A·X = I gives X = A⁻¹.
+/// let mut inv = Matrix::zeros(2, 2);
+/// ws.solve_mat_into(&Matrix::identity(2), &mut inv)?;
+/// assert!((&a * &inv).max_abs_diff(&Matrix::identity(2)) < 1e-12);
 /// # Ok::<(), performa_linalg::LinalgError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -962,8 +694,8 @@ pub struct LuWorkspace {
     /// Column equilibration scales `c`.
     col_scale: Vec<f64>,
     equilibrated: bool,
-    /// Unscaled copy of the factored matrix, kept only when
-    /// [`FactorOptions::retain`] asked for refinement support.
+    /// Unscaled copy of the factored matrix, kept by
+    /// [`LuWorkspace::factor_hardened`] for the refined solves.
     retained: Option<Matrix>,
     /// Residual / correction buffers for refinement, grown on first use.
     refine_buf: Option<Box<(Matrix, Matrix)>>,
@@ -1010,11 +742,8 @@ impl LuWorkspace {
                 .map_or(0, |b| mat(&b.0) + mat(&b.1))
     }
 
-    /// Factors `a` into the workspace, replacing any previous factors.
-    ///
-    /// Equivalent to [`LuWorkspace::factor_with`] with default options
-    /// (no equilibration, no retained copy) — the bit-identical fast
-    /// path the solver inner loops use.
+    /// Factors `a` into the workspace, replacing any previous factors —
+    /// the plain factorization every solve path starts with.
     ///
     /// # Errors
     ///
@@ -1022,21 +751,27 @@ impl LuWorkspace {
     /// * [`LinalgError::Singular`] on an exactly zero pivot; the
     ///   workspace is left unfactored.
     pub fn factor(&mut self, a: &Matrix) -> Result<()> {
-        self.factor_with(a, FactorOptions::default())
+        self.factor_impl(a, false)
     }
 
-    /// Factors `a` with explicit [`FactorOptions`].
+    /// The hardened factorization: factors `Aₛ = R·A·C` (rows, then
+    /// columns scaled to unit max-norm) and keeps an unscaled copy of
+    /// `a`.
     ///
-    /// With `equilibrate` the workspace factors `Aₛ = R·A·C` (rows then
-    /// columns scaled to unit max-norm) and undoes the scaling inside
-    /// every subsequent solve, so callers see solutions of the original
-    /// system. With `retain` an unscaled copy of `a` is kept so the
-    /// `*_refined_into` solves can iterate against the true residual.
+    /// Equilibration tames the wild row scales of stiff generators (TPT
+    /// stage rates spanning `p³²`) that otherwise distort partial
+    /// pivoting; every solve undoes the scaling, so callers see
+    /// solutions of the original system. The copy lets the
+    /// `*_refined_into` solves iterate against the true residual.
     ///
     /// # Errors
     ///
     /// See [`LuWorkspace::factor`].
-    pub fn factor_with(&mut self, a: &Matrix, opts: FactorOptions) -> Result<()> {
+    pub fn factor_hardened(&mut self, a: &Matrix) -> Result<()> {
+        self.factor_impl(a, true)
+    }
+
+    fn factor_impl(&mut self, a: &Matrix, hardened: bool) -> Result<()> {
         let n = self.dim();
         if a.shape() != (n, n) {
             return Err(LinalgError::ShapeMismatch {
@@ -1048,17 +783,14 @@ impl LuWorkspace {
         let started = performa_obs::timing_active().then(std::time::Instant::now);
         self.factored = false;
         self.lu.copy_from(a);
-        if opts.retain {
+        if hardened {
             match &mut self.retained {
-                Some(r) if r.shape() == (n, n) => r.copy_from(a),
+                Some(r) => r.copy_from(a),
                 slot => *slot = Some(a.clone()),
             }
-        } else {
-            self.retained = None;
-        }
-        if opts.equilibrate {
             self.equilibrate_in_place();
         } else {
+            self.retained = None;
             self.equilibrated = false;
             self.row_scale.fill(1.0);
             self.col_scale.fill(1.0);
@@ -1115,8 +847,9 @@ impl LuWorkspace {
         self.equilibrated = true;
     }
 
-    /// Whether the current factorization was equilibrated.
-    pub fn is_equilibrated(&self) -> bool {
+    /// Whether the current factorization is the hardened one
+    /// ([`LuWorkspace::factor_hardened`]).
+    pub fn is_hardened(&self) -> bool {
         self.equilibrated
     }
 
@@ -1142,17 +875,7 @@ impl LuWorkspace {
     /// [`LinalgError::ShapeMismatch`] on shape disagreement;
     /// [`LinalgError::InvalidArgument`] if nothing has been factored.
     pub fn solve_mat_into(&self, b: &Matrix, out: &mut Matrix) -> Result<()> {
-        let n = self.dim();
-        let flops = 2usize
-            .saturating_mul(n)
-            .saturating_mul(n)
-            .saturating_mul(b.ncols());
-        let workers = if flops >= par_min_solve_flops() {
-            crate::threading::threads()
-        } else {
-            1
-        };
-        self.solve_mat_into_threaded(b, out, workers)
+        self.solve_mat_into_threaded(b, out, solve_workers(self.dim(), b.ncols()))
     }
 
     /// [`LuWorkspace::solve_mat_into`] with an explicit worker count,
@@ -1208,17 +931,7 @@ impl LuWorkspace {
     ///
     /// See [`LuWorkspace::solve_mat_into`].
     pub fn solve_left_mat_into(&mut self, b: &Matrix, out: &mut Matrix) -> Result<()> {
-        let n = self.dim();
-        let flops = 2usize
-            .saturating_mul(n)
-            .saturating_mul(n)
-            .saturating_mul(b.nrows());
-        let workers = if flops >= par_min_solve_flops() {
-            crate::threading::threads()
-        } else {
-            1
-        };
-        self.solve_left_mat_into_threaded(b, out, workers)
+        self.solve_left_mat_into_threaded(b, out, solve_workers(self.dim(), b.nrows()))
     }
 
     /// [`LuWorkspace::solve_left_mat_into`] with an explicit worker
@@ -1287,6 +1000,32 @@ impl LuWorkspace {
         }
     }
 
+    /// Solves `x · A = b` (row-vector system) into `out` — the natural
+    /// direction for stationary-vector computations (allocation-free).
+    ///
+    /// One row runs the unblocked dot-product loops on the transposed
+    /// factors: the same operations, in the same order, as a
+    /// column-wise solve on the factors themselves.
+    ///
+    /// # Errors
+    ///
+    /// See [`LuWorkspace::solve_mat_into`].
+    pub fn solve_left_vec_into(&mut self, b: &Vector, out: &mut Vector) -> Result<()> {
+        self.require_factored("solve_left_vec_into")?;
+        let n = self.dim();
+        if b.len() != n || out.len() != n {
+            return Err(LinalgError::ShapeMismatch {
+                op: "solve_left_vec_into",
+                left: (1, b.len()),
+                right: (1, out.len()),
+            });
+        }
+        let mut y = std::mem::take(&mut self.scratch);
+        solve_left_rows(self.factors(), n, b.as_slice(), out.as_mut_slice(), &mut y);
+        self.scratch = y;
+        Ok(())
+    }
+
     /// Solves `A · x = b` into `out` (allocation-free).
     ///
     /// # Errors
@@ -1331,7 +1070,7 @@ impl LuWorkspace {
     /// can solve corrections through `&self` without aliasing it.
     fn take_retained(&mut self, op: &'static str) -> Result<Matrix> {
         self.retained.take().ok_or_else(|| LinalgError::InvalidArgument {
-            message: format!("{op}: refinement requires FactorOptions::retain at factor time"),
+            message: format!("{op}: refinement requires a hardened factorization"),
         })
     }
 
@@ -1348,39 +1087,10 @@ impl LuWorkspace {
     /// # Errors
     ///
     /// As [`LuWorkspace::solve_mat_into`], plus
-    /// [`LinalgError::InvalidArgument`] when the factorization was made
-    /// without [`FactorOptions::retain`].
+    /// [`LinalgError::InvalidArgument`] when the factorization was not
+    /// made by [`LuWorkspace::factor_hardened`].
     pub fn solve_mat_refined_into(&mut self, b: &Matrix, out: &mut Matrix) -> Result<RefineStats> {
-        self.solve_mat_into(b, out)?;
-        let a = self.take_retained("solve_mat_refined_into")?;
-        let mut bufs = self.take_refine_buf(b.nrows(), b.ncols());
-        let (resid, corr) = &mut *bufs;
-        let initial = residual_omega_right(&a, out, b, resid);
-        let mut omega = initial;
-        let mut iterations = 0;
-        while omega > REFINE_TOL && iterations < REFINE_MAX_ITERS {
-            if self.solve_mat_into(resid, corr).is_err() {
-                break;
-            }
-            *out += &*corr;
-            let improved = residual_omega_right(&a, out, b, resid);
-            if improved < omega {
-                omega = improved;
-                iterations += 1;
-            } else {
-                *out -= &*corr;
-                break;
-            }
-        }
-        self.retained = Some(a);
-        self.refine_buf = Some(bufs);
-        performa_obs::gauge_set("linalg.refine_residual", omega);
-        Ok(RefineStats {
-            iterations,
-            initial_backward_error: initial,
-            backward_error: omega,
-            converged: omega <= REFINE_TOL,
-        })
+        self.solve_refined_into(Side::Right, b, out)
     }
 
     /// Left-system counterpart of
@@ -1395,19 +1105,38 @@ impl LuWorkspace {
         b: &Matrix,
         out: &mut Matrix,
     ) -> Result<RefineStats> {
-        self.solve_left_mat_into(b, out)?;
-        let a = self.take_retained("solve_left_mat_refined_into")?;
+        self.solve_refined_into(Side::Left, b, out)
+    }
+
+    fn solve_side_into(&mut self, side: Side, b: &Matrix, out: &mut Matrix) -> Result<()> {
+        match side {
+            Side::Right => self.solve_mat_into(b, out),
+            Side::Left => self.solve_left_mat_into(b, out),
+        }
+    }
+
+    fn solve_refined_into(
+        &mut self,
+        side: Side,
+        b: &Matrix,
+        out: &mut Matrix,
+    ) -> Result<RefineStats> {
+        self.solve_side_into(side, b, out)?;
+        let a = self.take_retained(match side {
+            Side::Right => "solve_mat_refined_into",
+            Side::Left => "solve_left_mat_refined_into",
+        })?;
         let mut bufs = self.take_refine_buf(b.nrows(), b.ncols());
         let (resid, corr) = &mut *bufs;
-        let initial = residual_omega_left(&a, out, b, resid);
+        let initial = residual_omega(side, &a, out, b, resid);
         let mut omega = initial;
         let mut iterations = 0;
         while omega > REFINE_TOL && iterations < REFINE_MAX_ITERS {
-            if self.solve_left_mat_into(resid, corr).is_err() {
+            if self.solve_side_into(side, resid, corr).is_err() {
                 break;
             }
             *out += &*corr;
-            let improved = residual_omega_left(&a, out, b, resid);
+            let improved = residual_omega(side, &a, out, b, resid);
             if improved < omega {
                 omega = improved;
                 iterations += 1;
@@ -1427,61 +1156,17 @@ impl LuWorkspace {
         })
     }
 
-    /// Refined single right-hand-side solve `A · x = b`. One-shot
-    /// convenience over [`LuWorkspace::solve_mat_refined_into`];
-    /// allocates two `n × 1` staging matrices.
+    /// Cheap 1-norm condition-number estimate `κ₁(A) ≈ ‖A‖₁·‖A⁻¹‖₁` of
+    /// the factored matrix.
     ///
-    /// # Errors
-    ///
-    /// See [`LuWorkspace::solve_mat_refined_into`].
-    pub fn solve_vec_refined_into(&mut self, b: &Vector, out: &mut Vector) -> Result<RefineStats> {
-        let n = self.dim();
-        if b.len() != n || out.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "solve_vec_refined_into",
-                left: (b.len(), 1),
-                right: (out.len(), 1),
-            });
-        }
-        let bm = Matrix::from_fn(n, 1, |i, _| b[i]);
-        let mut xm = Matrix::zeros(n, 1);
-        let stats = self.solve_mat_refined_into(&bm, &mut xm)?;
-        for (i, v) in out.as_mut_slice().iter_mut().enumerate() {
-            *v = xm[(i, 0)];
-        }
-        Ok(stats)
-    }
-
-    /// Refined single left solve `x · A = b` — the boundary-system form.
-    ///
-    /// # Errors
-    ///
-    /// See [`LuWorkspace::solve_mat_refined_into`].
-    pub fn solve_left_vec_refined_into(
-        &mut self,
-        b: &Vector,
-        out: &mut Vector,
-    ) -> Result<RefineStats> {
-        let n = self.dim();
-        if b.len() != n || out.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "solve_left_vec_refined_into",
-                left: (1, b.len()),
-                right: (1, out.len()),
-            });
-        }
-        let bm = Matrix::from_fn(1, n, |_, j| b[j]);
-        let mut xm = Matrix::zeros(1, n);
-        let stats = self.solve_left_mat_refined_into(&bm, &mut xm)?;
-        out.as_mut_slice().copy_from_slice(xm.row(0));
-        Ok(stats)
-    }
-
-    /// Cheap 1-norm condition-number estimate of the factored matrix;
-    /// see [`Lu::condition_estimate`].
-    ///
-    /// For an equilibrated factorization the estimate describes the
-    /// scaled system that substitution actually runs on.
+    /// `‖A⁻¹‖₁` comes from a handful of forward/adjoint solves on the
+    /// existing factors (Hager 1984, as refined by Higham) — `O(k·n²)`
+    /// instead of the `O(n³)` an explicit inverse would cost. The result
+    /// is a lower bound that is almost always within a small factor of
+    /// the true `κ₁`, and `f64::INFINITY` when the factors have decayed
+    /// to non-finite values (numerically destroyed systems). For a
+    /// hardened factorization it describes the scaled system that
+    /// substitution actually runs on.
     ///
     /// Allocates a few length-`n` scratch vectors — intended for
     /// per-solve diagnostics, not the per-iteration hot path.
@@ -1489,39 +1174,14 @@ impl LuWorkspace {
         if self.dim() == 0 || !self.factored {
             return 1.0;
         }
-        // The adjoint solves run on the transposed factors, unblocked
-        // and unscaled: the operations and their order are those of
-        // `Lu`'s column-wise solve, at unit stride.
         let f = Factors {
             equilibrated: false,
             ..self.factors()
         };
-        let n = self.dim();
-        let kappa = self.a_norm1
-            * inverse_norm_one_estimate_with(&self.lu, &self.perm, |b, y, x| {
-                solve_left_rows(f, n, b, x, y)
-            });
+        let kappa = self.a_norm1 * inverse_norm_one_estimate(f);
         performa_obs::histogram_record("linalg.lu.condition", kappa);
         kappa
     }
-}
-
-/// Convenience: solves `A · x = b` with a fresh factorization.
-///
-/// # Errors
-///
-/// See [`Lu::factor`] and [`Lu::solve_vec`].
-pub fn solve(a: &Matrix, b: &Vector) -> Result<Vector> {
-    Lu::factor(a)?.solve_vec(b)
-}
-
-/// Convenience: computes `A⁻¹` with a fresh factorization.
-///
-/// # Errors
-///
-/// See [`Lu::factor`].
-pub fn inverse(a: &Matrix) -> Result<Matrix> {
-    Lu::factor(a)?.inverse()
 }
 
 #[cfg(test)]
@@ -1532,11 +1192,28 @@ mod tests {
         (a - b).abs() <= tol
     }
 
+    fn factored(a: &Matrix) -> LuWorkspace {
+        let mut ws = LuWorkspace::new(a.nrows());
+        ws.factor(a).unwrap();
+        ws
+    }
+
+    fn solve(ws: &LuWorkspace, b: &Vector) -> Vector {
+        let mut x = Vector::zeros(b.len());
+        ws.solve_vec_into(b, &mut x).unwrap();
+        x
+    }
+
+    fn solve_left(ws: &mut LuWorkspace, b: &Vector) -> Vector {
+        let mut x = Vector::zeros(b.len());
+        ws.solve_left_vec_into(b, &mut x).unwrap();
+        x
+    }
+
     #[test]
     fn solve_2x2() {
         let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
-        let b = Vector::from(vec![5.0, 10.0]);
-        let x = solve(&a, &b).unwrap();
+        let x = solve(&factored(&a), &Vector::from(vec![5.0, 10.0]));
         assert!(approx(x[0], 1.0, 1e-12));
         assert!(approx(x[1], 3.0, 1e-12));
     }
@@ -1545,7 +1222,7 @@ mod tests {
     fn solve_requires_pivoting() {
         // Zero in the (0,0) position forces a row swap.
         let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let x = solve(&a, &Vector::from(vec![2.0, 3.0])).unwrap();
+        let x = solve(&factored(&a), &Vector::from(vec![2.0, 3.0]));
         assert_eq!(x.as_slice(), &[3.0, 2.0]);
     }
 
@@ -1553,15 +1230,18 @@ mod tests {
     fn singular_is_detected() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
         assert!(matches!(
-            Lu::factor(&a),
+            LuWorkspace::new(2).factor(&a),
             Err(LinalgError::Singular { .. })
         ));
     }
 
     #[test]
-    fn not_square_is_rejected() {
+    fn wrong_shape_is_rejected() {
         let a = Matrix::zeros(2, 3);
-        assert!(matches!(Lu::factor(&a), Err(LinalgError::NotSquare { .. })));
+        assert!(matches!(
+            LuWorkspace::new(2).factor(&a),
+            Err(LinalgError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]
@@ -1571,20 +1251,12 @@ mod tests {
             &[2.0, 5.0, 1.0],
             &[0.5, 1.0, 3.0],
         ]);
-        let ainv = inverse(&a).unwrap();
+        let mut ainv = Matrix::zeros(3, 3);
+        factored(&a)
+            .solve_mat_into(&Matrix::identity(3), &mut ainv)
+            .unwrap();
         let prod = &a * &ainv;
         assert!(prod.max_abs_diff(&Matrix::identity(3)) < 1e-12);
-    }
-
-    #[test]
-    fn determinant() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let lu = Lu::factor(&a).unwrap();
-        assert!(approx(lu.det(), -2.0, 1e-12));
-
-        // Permutation parity: swapping rows flips the determinant sign.
-        let b = Matrix::from_rows(&[&[3.0, 4.0], &[1.0, 2.0]]);
-        assert!(approx(Lu::factor(&b).unwrap().det(), 2.0, 1e-12));
     }
 
     #[test]
@@ -1595,7 +1267,7 @@ mod tests {
             &[0.0, 2.0, 5.0],
         ]);
         let b = Vector::from(vec![1.0, 2.0, 3.0]);
-        let x = Lu::factor(&a).unwrap().solve_left_vec(&b).unwrap();
+        let x = solve_left(&mut factored(&a), &b);
         // Verify x·A = b directly.
         let xa = a.vec_mul(&x);
         assert!(xa.max_abs_diff(&b) < 1e-12);
@@ -1609,7 +1281,7 @@ mod tests {
             &[4.0, 1.0, 0.0],
         ]);
         let b = Vector::from(vec![5.0, -1.0, 2.5]);
-        let x = Lu::factor(&a).unwrap().solve_left_vec(&b).unwrap();
+        let x = solve_left(&mut factored(&a), &b);
         assert!(a.vec_mul(&x).max_abs_diff(&b) < 1e-12);
     }
 
@@ -1617,7 +1289,8 @@ mod tests {
     fn solve_mat_multiple_rhs() {
         let a = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 4.0]]);
         let b = Matrix::from_rows(&[&[2.0, 4.0], &[8.0, 12.0]]);
-        let x = Lu::factor(&a).unwrap().solve_mat(&b).unwrap();
+        let mut x = Matrix::zeros(2, 2);
+        factored(&a).solve_mat_into(&b, &mut x).unwrap();
         assert_eq!(x, Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 3.0]]));
     }
 
@@ -1629,10 +1302,11 @@ mod tests {
             &[4.0, 1.0, 0.0],
         ]);
         let b = Matrix::from_fn(3, 5, |i, j| (i * 5 + j) as f64 / 7.0 - 1.0);
-        let lu = Lu::factor(&a).unwrap();
-        let x = lu.solve_mat(&b).unwrap();
+        let ws = factored(&a);
+        let mut x = Matrix::zeros(3, 5);
+        ws.solve_mat_into(&b, &mut x).unwrap();
         for j in 0..5 {
-            let col = lu.solve_vec(&b.col(j)).unwrap();
+            let col = solve(&ws, &b.col(j));
             for i in 0..3 {
                 assert!(approx(x[(i, j)], col[i], 1e-13), "({i},{j})");
             }
@@ -1641,48 +1315,57 @@ mod tests {
     }
 
     #[test]
-    fn solve_left_mat_rows() {
-        let a = Matrix::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]]);
-        let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]);
-        let x = Lu::factor(&a).unwrap().solve_left_mat(&b).unwrap();
-        let back = &x * &a;
-        assert!(back.max_abs_diff(&b) < 1e-12);
+    fn solve_left_mat_rows_match_vector_solves() {
+        let a = Matrix::from_fn(8, 8, |i, j| {
+            let h = ((i * 13 + j * 29 + 3) % 41) as f64 / 41.0 - 0.5;
+            if i == j {
+                h + 9.0
+            } else {
+                h
+            }
+        });
+        let b = Matrix::from_fn(5, 8, |i, j| ((i * j) % 7) as f64 - 3.0);
+        let mut ws = factored(&a);
+        let mut x = Matrix::zeros(5, 8);
+        ws.solve_left_mat_into(&b, &mut x).unwrap();
+        assert!((&x * &a).max_abs_diff(&b) < 1e-12);
+        for i in 0..5 {
+            let row = solve_left(&mut ws, &Vector::from(b.row(i).to_vec()));
+            assert_eq!(row.as_slice(), x.row(i), "row {i}");
+        }
     }
 
     #[test]
     fn shape_mismatch_reported() {
-        let lu = Lu::factor(&Matrix::identity(2)).unwrap();
+        let mut ws = factored(&Matrix::identity(2));
         assert!(matches!(
-            lu.solve_vec(&Vector::zeros(3)),
+            ws.solve_vec_into(&Vector::zeros(3), &mut Vector::zeros(2)),
             Err(LinalgError::ShapeMismatch { .. })
         ));
         assert!(matches!(
-            lu.solve_left_vec(&Vector::zeros(3)),
+            ws.solve_left_vec_into(&Vector::zeros(3), &mut Vector::zeros(2)),
             Err(LinalgError::ShapeMismatch { .. })
         ));
         assert!(matches!(
-            lu.solve_mat(&Matrix::zeros(3, 2)),
+            ws.solve_mat_into(&Matrix::zeros(3, 2), &mut Matrix::zeros(3, 2)),
             Err(LinalgError::ShapeMismatch { .. })
         ));
         assert!(matches!(
-            lu.solve_left_mat(&Matrix::zeros(2, 3)),
+            ws.solve_left_mat_into(&Matrix::zeros(2, 3), &mut Matrix::zeros(2, 3)),
             Err(LinalgError::ShapeMismatch { .. })
         ));
     }
 
     #[test]
     fn condition_estimate_identity_is_one() {
-        let lu = Lu::factor(&Matrix::identity(4)).unwrap();
-        assert!((lu.condition_estimate() - 1.0).abs() < 1e-12);
-        assert!((lu.norm_one() - 1.0).abs() < 1e-12);
+        let ws = factored(&Matrix::identity(4));
+        assert!((ws.condition_estimate() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn condition_estimate_tracks_true_kappa_for_diagonal() {
         // diag(1, 1e-6): kappa_1 = 1e6 exactly; Hager recovers it.
-        let a = Matrix::diag(&[1.0, 1e-6]);
-        let lu = Lu::factor(&a).unwrap();
-        let k = lu.condition_estimate();
+        let k = factored(&Matrix::diag(&[1.0, 1e-6])).condition_estimate();
         assert!((k - 1e6).abs() < 1.0, "kappa estimate {k}");
     }
 
@@ -1691,13 +1374,12 @@ mod tests {
         // Nearly dependent rows: true condition number is huge.
         let eps = 1e-10;
         let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0 + eps]]);
-        let lu = Lu::factor(&a).unwrap();
-        let k = lu.condition_estimate();
+        let k = factored(&a).condition_estimate();
         assert!(k > 1e9, "kappa estimate {k} should explode");
 
         // A comfortably conditioned matrix stays small.
         let good = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
-        let kg = Lu::factor(&good).unwrap().condition_estimate();
+        let kg = factored(&good).condition_estimate();
         assert!(kg < 10.0, "kappa estimate {kg} should be modest");
     }
 
@@ -1716,7 +1398,7 @@ mod tests {
         });
         let x_true = Vector::from((0..n).map(|i| (i as f64) / 3.0 - 1.0).collect::<Vec<_>>());
         let b = a.mul_vec(&x_true);
-        let x = solve(&a, &b).unwrap();
+        let x = solve(&factored(&a), &b);
         assert!(x.max_abs_diff(&x_true) < 1e-10);
     }
 
@@ -1744,39 +1426,6 @@ mod tests {
             ws.solve_left_mat_into(&bl, &mut xl).unwrap();
             assert!((&xl * a).max_abs_diff(&bl) < 1e-12);
         }
-    }
-
-    #[test]
-    fn workspace_matches_lu_solutions_and_condition() {
-        let a = Matrix::from_fn(8, 8, |i, j| {
-            let h = ((i * 13 + j * 29 + 3) % 41) as f64 / 41.0 - 0.5;
-            if i == j {
-                h + 9.0
-            } else {
-                h
-            }
-        });
-        let lu = Lu::factor(&a).unwrap();
-        let mut ws = LuWorkspace::new(8);
-        ws.factor(&a).unwrap();
-
-        let b = Matrix::from_fn(8, 8, |i, j| ((i * j) % 7) as f64 - 3.0);
-        let mut x = Matrix::zeros(8, 8);
-        ws.solve_mat_into(&b, &mut x).unwrap();
-        assert!(x.max_abs_diff(&lu.solve_mat(&b).unwrap()) < 1e-12);
-
-        let mut xl = Matrix::zeros(8, 8);
-        ws.solve_left_mat_into(&b, &mut xl).unwrap();
-        assert!(xl.max_abs_diff(&lu.solve_left_mat(&b).unwrap()) < 1e-12);
-
-        let bv = Vector::from((0..8).map(|i| i as f64 - 3.0).collect::<Vec<_>>());
-        let mut xv = Vector::zeros(8);
-        ws.solve_vec_into(&bv, &mut xv).unwrap();
-        assert!(xv.max_abs_diff(&lu.solve_vec(&bv).unwrap()) < 1e-13);
-
-        let k_ws = ws.condition_estimate();
-        let k_lu = lu.condition_estimate();
-        assert!((k_ws - k_lu).abs() < 1e-9 * k_lu.max(1.0));
         assert!(ws.bytes() > 0);
     }
 
@@ -1793,7 +1442,7 @@ mod tests {
     }
 
     #[test]
-    fn equilibrated_solves_match_plain_on_benign_systems() {
+    fn hardened_solves_match_plain_on_benign_systems() {
         // On a well-scaled matrix equilibration must not change answers
         // beyond roundoff, in any solve direction.
         let a = Matrix::from_rows(&[
@@ -1807,10 +1456,9 @@ mod tests {
         let mut plain = LuWorkspace::new(3);
         let mut eq = LuWorkspace::new(3);
         plain.factor(&a).unwrap();
-        eq.factor_with(&a, FactorOptions { equilibrate: true, retain: false })
-            .unwrap();
-        assert!(eq.is_equilibrated());
-        assert!(!plain.is_equilibrated());
+        eq.factor_hardened(&a).unwrap();
+        assert!(eq.is_hardened());
+        assert!(!plain.is_hardened());
 
         let (mut x1, mut x2) = (Matrix::zeros(3, 3), Matrix::zeros(3, 3));
         plain.solve_mat_into(&b, &mut x1).unwrap();
@@ -1821,10 +1469,8 @@ mod tests {
         eq.solve_left_mat_into(&b, &mut x2).unwrap();
         assert!(x1.max_abs_diff(&x2) < 1e-12);
 
-        let (mut v1, mut v2) = (Vector::zeros(3), Vector::zeros(3));
-        plain.solve_vec_into(&bv, &mut v1).unwrap();
-        eq.solve_vec_into(&bv, &mut v2).unwrap();
-        assert!(v1.max_abs_diff(&v2) < 1e-12);
+        assert!(solve(&plain, &bv).max_abs_diff(&solve(&eq, &bv)) < 1e-12);
+        assert!(solve_left(&mut plain, &bv).max_abs_diff(&solve_left(&mut eq, &bv)) < 1e-12);
     }
 
     #[test]
@@ -1834,8 +1480,7 @@ mod tests {
         let x_true = Matrix::from_fn(n, 2, |i, j| (i + j) as f64 / 5.0 - 1.0);
         let b = &a * &x_true;
         let mut ws = LuWorkspace::new(n);
-        ws.factor_with(&a, FactorOptions { equilibrate: true, retain: false })
-            .unwrap();
+        ws.factor_hardened(&a).unwrap();
         let mut x = Matrix::zeros(n, 2);
         ws.solve_mat_into(&b, &mut x).unwrap();
         // Residual relative to the data scale, not the (huge) solution.
@@ -1851,17 +1496,20 @@ mod tests {
     }
 
     #[test]
-    fn refined_solve_requires_retained_matrix() {
-        let mut ws = LuWorkspace::new(2);
-        ws.factor_with(
-            &Matrix::identity(2),
-            FactorOptions { equilibrate: true, retain: false },
-        )
-        .unwrap();
+    fn refined_solve_requires_hardened_factor() {
+        let mut ws = factored(&Matrix::identity(2));
         let b = Matrix::identity(2);
         let mut x = Matrix::zeros(2, 2);
         assert!(matches!(
             ws.solve_mat_refined_into(&b, &mut x),
+            Err(LinalgError::InvalidArgument { .. })
+        ));
+        // A plain factor after a hardened one drops the retained copy.
+        ws.factor_hardened(&Matrix::identity(2)).unwrap();
+        ws.solve_mat_refined_into(&b, &mut x).unwrap();
+        ws.factor(&Matrix::identity(2)).unwrap();
+        assert!(matches!(
+            ws.solve_left_mat_refined_into(&b, &mut x),
             Err(LinalgError::InvalidArgument { .. })
         ));
     }
@@ -1873,7 +1521,7 @@ mod tests {
         let x_true = Matrix::from_fn(n, 1, |i, _| (i as f64 + 1.0) / 3.0);
         let b = &a * &x_true;
         let mut ws = LuWorkspace::new(n);
-        ws.factor_with(&a, FactorOptions::hardened()).unwrap();
+        ws.factor_hardened(&a).unwrap();
         let mut x = Matrix::zeros(n, 1);
         let stats = ws.solve_mat_refined_into(&b, &mut x).unwrap();
         assert!(
@@ -1882,15 +1530,6 @@ mod tests {
         );
         assert!(stats.converged, "no convergence: {stats:?}");
         assert!(stats.backward_error <= REFINE_TOL);
-
-        // Vector forms agree with the matrix form.
-        let bv = Vector::from((0..n).map(|i| b[(i, 0)]).collect::<Vec<_>>());
-        let mut xv = Vector::zeros(n);
-        let vstats = ws.solve_vec_refined_into(&bv, &mut xv).unwrap();
-        assert!(vstats.converged);
-        for i in 0..n {
-            assert!(approx(xv[i], x[(i, 0)], 1e-12 * x_true.norm_inf()));
-        }
     }
 
     #[test]
@@ -1899,16 +1538,10 @@ mod tests {
         let a = wildly_scaled(n);
         let b = Matrix::from_fn(1, n, |_, j| (j as f64) / 4.0 - 1.0);
         let mut ws = LuWorkspace::new(n);
-        ws.factor_with(&a, FactorOptions::hardened()).unwrap();
+        ws.factor_hardened(&a).unwrap();
         let mut x = Matrix::zeros(1, n);
         let stats = ws.solve_left_mat_refined_into(&b, &mut x).unwrap();
         assert!(stats.converged, "left refinement stalled: {stats:?}");
-
-        let bv = Vector::from(b.row(0).to_vec());
-        let mut xv = Vector::zeros(n);
-        let vstats = ws.solve_left_vec_refined_into(&bv, &mut xv).unwrap();
-        assert!(vstats.converged);
-        assert!(xv.max_abs_diff(&Vector::from(x.row(0).to_vec())) < 1e-12);
     }
 
     #[test]
@@ -1921,6 +1554,10 @@ mod tests {
         ));
         assert!(matches!(
             ws.solve_mat_into(&Matrix::identity(2), &mut Matrix::zeros(2, 2)),
+            Err(LinalgError::InvalidArgument { .. })
+        ));
+        assert!(matches!(
+            ws.solve_left_vec_into(&Vector::zeros(2), &mut Vector::zeros(2)),
             Err(LinalgError::InvalidArgument { .. })
         ));
         // Recovers with a good matrix.

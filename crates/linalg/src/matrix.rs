@@ -8,7 +8,7 @@ use crate::{LinalgError, Result, Vector};
 /// This is the workhorse type of the workspace. It is deliberately simple:
 /// owned storage, eager operations, and panicking operator overloads on shape
 /// mismatch (mirroring scalar arithmetic). Fallible variants that return
-/// [`LinalgError`] live on [`crate::lu::Lu`] and the free functions in
+/// [`LinalgError`] live on [`crate::lu::LuWorkspace`] and the free functions in
 /// [`crate::kron`] / [`crate::spectral`].
 ///
 /// # Example

@@ -11,9 +11,9 @@
 
 use proptest::prelude::*;
 
-use performa_linalg::lu::{FactorOptions, Lu, LuWorkspace, NB};
+use performa_linalg::lu::{LuWorkspace, NB};
 use performa_linalg::threading::{set_par_min_flops, set_threads, DEFAULT_PAR_MIN_FLOPS};
-use performa_linalg::{LinalgError, Matrix};
+use performa_linalg::{LinalgError, Matrix, Vector};
 
 const SIZES: [usize; 7] = [NB - 1, 2 * NB, 2 * NB + 1, 3 * NB - 1, 3 * NB, 3 * NB + 5, 462];
 
@@ -58,7 +58,8 @@ proptest! {
 
     /// Right and left solves on the blocked factors are normwise
     /// backward stable, with many right-hand sides (blocked
-    /// substitution) and with one (unblocked).
+    /// substitution) and with one (unblocked). The left vector solve is
+    /// the one-row matrix solve, bit for bit.
     #[test]
     fn blocked_solves_are_backward_stable(
         vals in prop::collection::vec(0.0f64..1.0, 97),
@@ -80,52 +81,18 @@ proptest! {
                 let err = backward_error_left(&a, &xl, &bl);
                 prop_assert!(err <= bound(n), "left n={n} rows={w}: {err:e}");
             }
-            // The allocating type runs the same blocked factor.
-            let x = Lu::factor(&a).unwrap().solve_mat(&Matrix::identity(n)).unwrap();
-            let err = backward_error_right(&a, &x, &Matrix::identity(n));
-            prop_assert!(err <= bound(n), "Lu inverse n={n}: {err:e}");
-        }
-    }
+            let b = rhs(n, 1, &vals[3..]);
+            let bv = Vector::from(b.as_slice().to_vec());
+            let mut xv = Vector::zeros(n);
+            ws.solve_vec_into(&bv, &mut xv).unwrap();
+            let x = Matrix::from_fn(n, 1, |i, _| xv[i]);
+            let err = backward_error_right(&a, &x, &b);
+            prop_assert!(err <= bound(n), "right vector n={n}: {err:e}");
 
-    /// `det` carries the sign of the row permutation and the product of
-    /// the pivots: `A = Q·L₀·U₀` with a reversal `Q`, unit-lower `L₀`
-    /// and upper `U₀` of known diagonal. Off-diagonal entries are
-    /// `O(1/n)` so the triangles stay well conditioned (random
-    /// triangular matrices are not), while `Q` still moves every pivot
-    /// across the matrix.
-    #[test]
-    fn blocked_factor_determinant_sign_and_magnitude(
-        vals in prop::collection::vec(0.0f64..1.0, 61),
-    ) {
-        for n in SIZES {
-            let diag = |i: usize| {
-                let v = 0.5 + 1.5 * vals[i % vals.len()];
-                if (i * 7 + 3) % 5 < 2 { -v } else { v }
-            };
-            let off = 1.0 / n as f64;
-            let l0 = Matrix::from_fn(n, n, |i, j| match i.cmp(&j) {
-                std::cmp::Ordering::Equal => 1.0,
-                std::cmp::Ordering::Greater => (vals[(i + 3 * j) % vals.len()] - 0.5) * off,
-                std::cmp::Ordering::Less => 0.0,
-            });
-            let u0 = Matrix::from_fn(n, n, |i, j| match i.cmp(&j) {
-                std::cmp::Ordering::Equal => diag(i),
-                std::cmp::Ordering::Less => (vals[(2 * i + j) % vals.len()] - 0.5) * off,
-                std::cmp::Ordering::Greater => 0.0,
-            });
-            let lu0 = l0.mul_naive(&u0);
-            // Row reversal: n/2 transpositions.
-            let a = Matrix::from_fn(n, n, |i, j| lu0[(n - 1 - i, j)]);
-            let mut sign = if (n / 2) % 2 == 0 { 1.0 } else { -1.0 };
-            let mut log_abs = 0.0;
-            for i in 0..n {
-                sign *= diag(i).signum();
-                log_abs += diag(i).abs().ln();
-            }
-            let det = Lu::factor(&a).unwrap().det();
-            prop_assert_eq!(det.signum(), sign, "n={}: det {:e}", n, det);
-            let rel = (det.abs().ln() - log_abs).abs() / log_abs.abs().max(1.0);
-            prop_assert!(rel <= 1e-10, "n={n}: ln|det| {} vs {log_abs}", det.abs().ln());
+            ws.solve_left_vec_into(&bv, &mut xv).unwrap();
+            let mut xl = Matrix::zeros(1, n);
+            ws.solve_left_mat_into(&Matrix::from_fn(1, n, |_, j| bv[j]), &mut xl).unwrap();
+            prop_assert_eq!(xv.as_slice(), xl.row(0), "left vector n={}", n);
         }
     }
 
@@ -138,7 +105,7 @@ proptest! {
         for n in SIZES {
             let a = pivot_forcing(n, &vals);
             let mut ws = LuWorkspace::new(n);
-            ws.factor_with(&a, FactorOptions::hardened()).unwrap();
+            ws.factor_hardened(&a).unwrap();
             let b = rhs(n, 3, &vals);
             let mut x = Matrix::zeros(n, 3);
             let stats = ws.solve_mat_refined_into(&b, &mut x).unwrap();
@@ -166,7 +133,6 @@ fn singular_third_block_reports_global_pivot() {
         a[(i, dead)] = 0.0;
     }
     let want = LinalgError::Singular { pivot: dead };
-    assert_eq!(Lu::factor(&a).unwrap_err(), want);
     let mut ws = LuWorkspace::new(n);
     assert_eq!(ws.factor(&a).unwrap_err(), want);
     // Row-parallel trailing updates: the only test in this file that

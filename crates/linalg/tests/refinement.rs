@@ -16,7 +16,7 @@
 //! digits, and iterative refinement must claw at least four orders of
 //! magnitude back.
 
-use performa_linalg::lu::{FactorOptions, LuWorkspace};
+use performa_linalg::lu::LuWorkspace;
 use performa_linalg::Matrix;
 
 const HILBERT_DIM: usize = 10;
@@ -91,7 +91,7 @@ fn refinement_recovers_componentwise_accuracy_on_ill_conditioned_system() {
 
     // Hardened path: equilibration + iterative refinement.
     let mut hardened = LuWorkspace::new(n);
-    hardened.factor_with(&a, FactorOptions::hardened()).unwrap();
+    hardened.factor_hardened(&a).unwrap();
     let mut x_ref = Matrix::zeros(n, 1);
     let stats = hardened.solve_mat_refined_into(&b, &mut x_ref).unwrap();
     let omega_ref = componentwise_backward_error(&a, &x_ref, &b);
@@ -121,8 +121,8 @@ fn hardening_does_not_mask_ill_conditioning() {
     // combined witness.)
     let a = Matrix::from_fn(HILBERT_DIM, HILBERT_DIM, |i, j| 1.0 / ((i + j + 1) as f64));
     let mut ws = LuWorkspace::new(a.nrows());
-    ws.factor_with(&a, FactorOptions::hardened()).unwrap();
-    assert!(ws.is_equilibrated());
+    ws.factor_hardened(&a).unwrap();
+    assert!(ws.is_hardened());
     let kappa = ws.condition_estimate();
     assert!(
         kappa >= 1e12,
@@ -152,7 +152,7 @@ fn refinement_matches_plain_solution_on_well_conditioned_system() {
     plain.solve_mat_into(&b, &mut x_plain).unwrap();
 
     let mut hardened = LuWorkspace::new(n);
-    hardened.factor_with(&a, FactorOptions::hardened()).unwrap();
+    hardened.factor_hardened(&a).unwrap();
     let mut x_ref = Matrix::zeros(n, 2);
     let stats = hardened.solve_mat_refined_into(&b, &mut x_ref).unwrap();
 

@@ -1,7 +1,7 @@
 //! Continuous-time Markov chain (CTMC) utilities: generator validation and
 //! stationary distributions.
 
-use performa_linalg::{lu::Lu, Matrix, Vector};
+use performa_linalg::{lu::LuWorkspace, Matrix, Vector};
 
 use crate::{MarkovError, Result};
 
@@ -89,8 +89,10 @@ pub fn steady_state(q: &Matrix) -> Result<Vector> {
             at[(j, i)] = if j == n - 1 { 1.0 } else { q[(i, j)] };
         }
     }
-    let b = Vector::basis(n, n - 1);
-    let mut pi = Lu::factor(&at)?.solve_vec(&b)?;
+    let mut lu = LuWorkspace::new(n);
+    lu.factor(&at)?;
+    let mut pi = Vector::zeros(n);
+    lu.solve_vec_into(&Vector::basis(n, n - 1), &mut pi)?;
     // Guard against tiny negative round-off and renormalize.
     for v in pi.as_mut_slice() {
         if *v < 0.0 && *v > -1e-9 {

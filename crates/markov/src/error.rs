@@ -26,6 +26,18 @@ pub enum MarkovError {
         /// Explanation of the violated precondition.
         message: String,
     },
+    /// A computed quantity violates a bound it must satisfy, so the
+    /// arithmetic that produced it cannot be trusted (for example an
+    /// index of dispersion below 1 when the modulator's rates span more
+    /// orders of magnitude than `f64` resolves).
+    Inaccurate {
+        /// What was computed, e.g. `"asymptotic IDC"`.
+        quantity: &'static str,
+        /// The untrustworthy value.
+        value: f64,
+        /// The bound it violates.
+        bound: &'static str,
+    },
     /// An underlying linear-algebra operation failed.
     Linalg(performa_linalg::LinalgError),
 }
@@ -45,6 +57,14 @@ impl fmt::Display for MarkovError {
             MarkovError::InvalidParameter { message } => {
                 write!(f, "invalid parameter: {message}")
             }
+            MarkovError::Inaccurate {
+                quantity,
+                value,
+                bound,
+            } => write!(
+                f,
+                "{quantity} = {value:e} violates {bound}: the result is not numerically trustworthy"
+            ),
             MarkovError::Linalg(e) => write!(f, "linear algebra failure: {e}"),
         }
     }

@@ -1,5 +1,5 @@
 use performa_dist::MatrixExp;
-use performa_linalg::{lu::Lu, Matrix, Vector};
+use performa_linalg::{lu::LuWorkspace, Matrix, Vector};
 
 use crate::{ctmc, MarkovError, Result};
 
@@ -157,10 +157,13 @@ impl Map {
     pub fn interval_autocorrelation(&self, k: usize) -> Result<f64> {
         assert!(k >= 1, "lag must be at least 1");
         let pe = self.event_phase_distribution()?;
-        let lu = Lu::factor(&(-&self.d0))?;
+        let n = self.dim();
+        let mut lu = LuWorkspace::new(n);
+        lu.factor(&(-&self.d0))?;
         // x1 = π_e·V, x2 = π_e·V².
-        let x1 = lu.solve_left_vec(&pe)?;
-        let x2 = lu.solve_left_vec(&x1)?;
+        let (mut x1, mut x2) = (Vector::zeros(n), Vector::zeros(n));
+        lu.solve_left_vec_into(&pe, &mut x1)?;
+        lu.solve_left_vec_into(&x1, &mut x2)?;
         let mean = x1.sum();
         let second = 2.0 * x2.sum();
         let var = second - mean * mean;
@@ -169,12 +172,13 @@ impl Map {
         }
         // cross = π_e·V²·D₁·P^{k−1}·V·ε.
         let mut w = self.d1.vec_mul(&x2); // row vector π_e·V²·D₁
+        let mut wv = Vector::zeros(n);
         for _ in 0..k - 1 {
             // w ← w·P = w·V·D₁  (apply V then D₁ from the right).
-            let wv = lu.solve_left_vec(&w)?;
+            lu.solve_left_vec_into(&w, &mut wv)?;
             w = self.d1.vec_mul(&wv);
         }
-        let wv = lu.solve_left_vec(&w)?;
+        lu.solve_left_vec_into(&w, &mut wv)?;
         let cross = wv.sum();
         Ok((cross - mean * mean) / var)
     }

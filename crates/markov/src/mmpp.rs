@@ -1,6 +1,11 @@
-use performa_linalg::{Matrix, Vector};
+use performa_linalg::{lu::LuWorkspace, Matrix, Vector};
 
 use crate::{ctmc, Map, MarkovError, Result};
+
+/// How far below 1 [`Mmpp::asymptotic_idc`] may land before the result
+/// counts as lost rather than rounded: a Poisson process computes to 1
+/// within a few units of `1e-16`, far inside this slack.
+const IDC_ROUNDING: f64 = 1e-9;
 
 /// A Markov-modulated Poisson process: a CTMC generator `Q` plus a Poisson
 /// event rate `r_i ≥ 0` per modulator state.
@@ -107,29 +112,45 @@ impl Mmpp {
     /// Computed from the deviation matrix `D = (Π − Q)⁻¹ − Π`
     /// (`Π = ε·π`): the asymptotic variance rate of the counting process
     /// is `λ̄ + 2·π·L·D·L·ε`, so `IDC(∞) = 1 + 2·π·L·D·L·ε / λ̄`.
-    /// Equals 1 exactly for a Poisson process (constant rates).
+    /// `D` is never formed: with `x = (Π − Q)⁻¹·r` from one solve,
+    /// `D·r = x − Π·r = x − λ̄·ε`. Equals 1 exactly for a Poisson process
+    /// (constant rates).
     ///
     /// # Errors
     ///
-    /// [`MarkovError::Linalg`] for a reducible modulator.
+    /// * [`MarkovError::Linalg`] for a reducible modulator.
+    /// * [`MarkovError::Inaccurate`] when the result is non-finite or
+    ///   below 1 by more than rounding. An MMPP is a Cox process, so its
+    ///   IDC is at least 1; a smaller value means the solve lost every
+    ///   digit, as it does for TPT repair tails whose rates span more
+    ///   orders of magnitude than `f64` resolves (N=2, T=24 and beyond).
     pub fn asymptotic_idc(&self) -> Result<f64> {
-        use performa_linalg::lu::Lu;
         let pi = self.steady_state()?;
         let lambda_bar = pi.dot(&self.rates);
         if lambda_bar == 0.0 {
             return Ok(1.0);
         }
         let n = self.dim();
-        // Π = ε·π (every row is π); deviation matrix D = (Π − Q)⁻¹ − Π.
+        // Π = ε·π (every row is π).
         let big_pi = Matrix::from_fn(n, n, |_, j| pi[j]);
-        let m = &big_pi - &self.q;
-        let inv = Lu::factor(&m)?.inverse()?;
-        let dev = &inv - &big_pi;
-        // v_extra = π·L·D·L·ε with L diagonal: (π∘r)·D·(r) .
+        let mut lu = LuWorkspace::new(n);
+        lu.factor(&(&big_pi - &self.q))?;
+        let mut dl = Vector::zeros(n);
+        lu.solve_vec_into(&self.rates, &mut dl)?;
+        for v in dl.as_mut_slice() {
+            *v -= lambda_bar;
+        }
+        // π·L·D·L·ε with L diagonal: (π∘r)·(D·r).
         let weighted: Vector = (0..n).map(|i| pi[i] * self.rates[i]).collect();
-        let dl = dev.mul_vec(&self.rates);
-        let extra = weighted.dot(&dl);
-        Ok(1.0 + 2.0 * extra / lambda_bar)
+        let idc = 1.0 + 2.0 * weighted.dot(&dl) / lambda_bar;
+        if !idc.is_finite() || idc < 1.0 - IDC_ROUNDING {
+            return Err(MarkovError::Inaccurate {
+                quantity: "asymptotic IDC",
+                value: idc,
+                bound: "IDC >= 1 (an MMPP is a Cox process)",
+            });
+        }
+        Ok(idc)
     }
 
     /// Converts to the general MAP representation

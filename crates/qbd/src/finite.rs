@@ -1,4 +1,4 @@
-use performa_linalg::{lu::Lu, Matrix, Vector};
+use performa_linalg::{Matrix, Vector};
 
 use crate::workspace::{self, gemm};
 use crate::{QbdError, Result};
@@ -118,7 +118,7 @@ impl FiniteQbd {
         // workspace arena exists for, so after the first pass the loop
         // allocates nothing beyond the stored `rs` blocks.
         let mut rs: Vec<Matrix> = vec![Matrix::zeros(m, m); k + 1];
-        let mut sys = workspace::with(m, |ws| {
+        let pi0 = workspace::with(m, |ws| {
             ws.t1.copy_from(&self.a1);
             ws.t1.add_scaled_mut(&self.a0, 1.0);
             ws.t1.scale_mut(-1.0);
@@ -135,14 +135,17 @@ impl FiniteQbd {
             }
             // π0 from π0·(B00 + R1·A2) = 0: replace the last column with
             // ones and solve x·M' = e_last (null left-vector trick).
-            let mut sys = self.b00.clone();
-            gemm(1.0, &rs[1], &self.a2, 1.0, &mut sys);
-            Ok::<_, QbdError>(sys)
+            ws.t1.copy_from(&self.b00);
+            gemm(1.0, &rs[1], &self.a2, 1.0, &mut ws.t1);
+            for i in 0..m {
+                ws.t1[(i, m - 1)] = 1.0;
+            }
+            ws.lu.factor(&ws.t1)?;
+            let mut pi0 = Vector::zeros(m);
+            ws.lu
+                .solve_left_vec_into(&Vector::basis(m, m - 1), &mut pi0)?;
+            Ok::<_, QbdError>(pi0)
         })?;
-        for i in 0..m {
-            sys[(i, m - 1)] = 1.0;
-        }
-        let pi0 = Lu::factor(&sys)?.solve_left_vec(&Vector::basis(m, m - 1))?;
 
         let mut levels: Vec<Vector> = Vec::with_capacity(k + 1);
         levels.push(pi0);

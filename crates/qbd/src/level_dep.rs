@@ -1,4 +1,4 @@
-use performa_linalg::{lu::Lu, spectral, Matrix, Vector};
+use performa_linalg::{lu::LuWorkspace, spectral, Matrix, Vector};
 
 use crate::workspace::{self, gemm};
 use crate::{Qbd, QbdError, Result};
@@ -242,7 +242,10 @@ impl LevelDependentQbd {
                 sys[(n * m + i, dim - 1)] = if n < k { 1.0 } else { geo_eps[i] };
             }
         }
-        let x = Lu::factor(&sys)?.solve_left_vec(&Vector::basis(dim, dim - 1))?;
+        let mut lu = LuWorkspace::new(dim);
+        lu.factor(&sys)?;
+        let mut x = Vector::zeros(dim);
+        lu.solve_left_vec_into(&Vector::basis(dim, dim - 1), &mut x)?;
 
         let mut levels = Vec::with_capacity(k + 1);
         for n in 0..=k {
@@ -327,9 +330,12 @@ impl LevelDependentSolution {
             mean += n as f64 * v.sum();
         }
         let m = self.r.nrows();
-        let i_minus_r = Matrix::identity(m) - &self.r;
-        let lu = Lu::factor(&i_minus_r).expect("stable chain");
-        let geo2_eps = lu.solve_vec(&self.geo_eps).expect("dimensions fixed");
+        let mut lu = LuWorkspace::new(m);
+        lu.factor(&(Matrix::identity(m) - &self.r))
+            .expect("stable chain");
+        let mut geo2_eps = Vector::zeros(m);
+        lu.solve_vec_into(&self.geo_eps, &mut geo2_eps)
+            .expect("dimensions fixed");
         let r_geo2 = self.r.mul_vec(&geo2_eps);
         mean += k as f64 * self.pi_k.dot(&self.geo_eps) + self.pi_k.dot(&r_geo2);
         mean

@@ -3,10 +3,7 @@ use std::str::FromStr;
 use std::time::Instant;
 
 use performa_ctrl::CancelToken;
-use performa_linalg::{
-    lu::{FactorOptions, Lu, LuWorkspace},
-    Matrix, Vector,
-};
+use performa_linalg::{lu::LuWorkspace, Matrix, Vector};
 
 use crate::fault;
 use crate::solution::{geometric_eps, QbdSolution};
@@ -109,126 +106,77 @@ fn undo_shift(g: &mut Matrix, um: f64) {
     }
 }
 
-/// Numerical-hardening switches for the `G`-matrix stages.
+/// Numerical hardening of the `G`, `R` and boundary stages: off
+/// ([`Hardening::default`]) or [`Hardening::full`].
 ///
-/// All off by default — the default path is bit-identical to the
-/// unhardened solver. The supervisor's recovery ladder escalates to
-/// [`Hardening::full`] when a stage breaks down.
+/// Off is the plain solver. The supervisor's recovery ladder escalates to
+/// full hardening when a stage breaks down; it is what rescues the
+/// paper's TPT T=16–32 repair tails, whose rates span `θ^T`. Full
+/// hardening applies three mitigations together:
+///
+/// * **Spectral shift**: deflate the unit eigenvalue of `A0+A1+A2` with
+///   the rank-one update `Ã1 = A1 + (A0ε)uᵀ`, `Ã2 = A2 − (A2ε)uᵀ`
+///   (`u = ε/m`), solve the shifted equation for `Ĝ = G − εuᵀ` and undo
+///   the shift on the result. This restores quadratic convergence on
+///   near-null-recurrent chains where the unshifted iteration stalls and
+///   overflows. It is valid only for recurrent chains (`Gε = ε`), so a
+///   hardened solve of an unstable chain yields [`QbdError::Unstable`].
+///   Logarithmic reduction and functional iteration apply it; Neuts
+///   substitution does not (the shift breaks the non-negativity its
+///   monotone convergence relies on) but still enforces the recurrence
+///   gate.
+/// * **Equilibration** of every LU factorization
+///   ([`LuWorkspace::factor_hardened`]).
+/// * **Iterative refinement** of the one-shot setup, `R` and boundary
+///   solves. The per-iteration solves stay unrefined: a residual pass
+///   every iteration would dominate the kernel work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[non_exhaustive]
 pub struct Hardening {
-    /// Spectral shift: deflate the unit eigenvalue of `A0+A1+A2` with
-    /// the rank-one update `Ã1 = A1 + (A0ε)uᵀ`, `Ã2 = A2 − (A2ε)uᵀ`
-    /// (`u = ε/m`), solve the shifted equation for `Ĝ = G − εuᵀ` and
-    /// undo the shift on the result. Restores quadratic convergence on
-    /// near-null-recurrent chains where the unshifted iteration stalls
-    /// and overflows. Valid only for recurrent chains (`Gε = ε`);
-    /// requesting it on an unstable chain yields [`QbdError::Unstable`].
-    /// Applied by logarithmic reduction and functional iteration; Neuts
-    /// substitution ignores it (the shift breaks the non-negativity its
-    /// monotone convergence relies on) but still enforces the
-    /// recurrence gate.
-    pub shift: bool,
-    /// Row/column equilibration of every LU factorization in the stage
-    /// (see [`performa_linalg::lu::FactorOptions::equilibrate`]).
-    pub equilibrate: bool,
-    /// Iterative refinement of the one-shot setup solves (the hot
-    /// inner-loop solves stay plain: a per-iteration residual pass
-    /// would dominate the kernel work).
-    pub refine: bool,
+    full: bool,
 }
 
 impl Hardening {
     /// Every mitigation enabled — the top rung of the recovery ladder.
     pub fn full() -> Self {
-        Hardening {
-            shift: true,
-            equilibrate: true,
-            refine: true,
-        }
+        Hardening { full: true }
     }
 
-    /// `true` when any mitigation is enabled.
-    pub fn any(&self) -> bool {
-        self.shift || self.equilibrate || self.refine
+    /// `true` for [`Hardening::full`].
+    pub fn is_full(self) -> bool {
+        self.full
     }
 
-    /// Factor options for the stage's one-shot setup systems.
-    fn setup_factor(&self) -> FactorOptions {
-        FactorOptions {
-            equilibrate: self.equilibrate,
-            retain: self.refine,
+    /// Factors `a` into `lu`, hardened or plain.
+    fn factor(self, lu: &mut LuWorkspace, a: &Matrix) -> Result<()> {
+        if self.full {
+            lu.factor_hardened(a)?;
+        } else {
+            lu.factor(a)?;
         }
-    }
-
-    /// Factor options for per-iteration systems: equilibration only,
-    /// never the retained copy refinement needs.
-    fn inner_factor(&self) -> FactorOptions {
-        FactorOptions {
-            equilibrate: self.equilibrate,
-            retain: false,
-        }
+        Ok(())
     }
 }
 
 impl fmt::Display for Hardening {
-    /// Round-trippable spelling (mirrors `DistSpec`): `"none"`,
-    /// `"full"`, or the enabled flags joined with `+` — e.g.
-    /// `"shift+refine"`.
+    /// Round-trippable spelling: `"none"` or `"full"`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if !self.any() {
-            return f.write_str("none");
-        }
-        if *self == Hardening::full() {
-            return f.write_str("full");
-        }
-        let mut first = true;
-        for (on, name) in [
-            (self.shift, "shift"),
-            (self.equilibrate, "equilibrate"),
-            (self.refine, "refine"),
-        ] {
-            if on {
-                if !first {
-                    f.write_str("+")?;
-                }
-                f.write_str(name)?;
-                first = false;
-            }
-        }
-        Ok(())
+        f.write_str(if self.full { "full" } else { "none" })
     }
 }
 
 impl FromStr for Hardening {
     type Err = QbdError;
 
-    /// Parses the [`fmt::Display`] spelling: `"none"`, `"full"`, or
-    /// `+`-joined flags from `{shift, equilibrate, refine}`.
+    /// Parses the [`Display`](fmt::Display) spelling, `"none"` or
+    /// `"full"` (case-insensitive).
     fn from_str(s: &str) -> Result<Self> {
-        let spec = s.trim().to_ascii_lowercase();
-        match spec.as_str() {
-            "none" | "" => return Ok(Hardening::default()),
-            "full" | "all" => return Ok(Hardening::full()),
-            _ => {}
+        match s.trim().to_ascii_lowercase().as_str() {
+            "none" => Ok(Hardening::default()),
+            "full" => Ok(Hardening::full()),
+            other => Err(QbdError::InvalidParameter {
+                message: format!("unknown hardening '{other}' (expected none or full)"),
+            }),
         }
-        let mut h = Hardening::default();
-        for flag in spec.split('+') {
-            match flag.trim() {
-                "shift" => h.shift = true,
-                "equilibrate" | "equil" => h.equilibrate = true,
-                "refine" => h.refine = true,
-                other => {
-                    return Err(QbdError::InvalidParameter {
-                        message: format!(
-                            "unknown hardening flag '{other}' (expected \
-                             none, full, or '+'-joined shift/equilibrate/refine)"
-                        ),
-                    })
-                }
-            }
-        }
-        Ok(h)
     }
 }
 
@@ -249,7 +197,7 @@ pub struct SolveOptions {
     /// Numerical hardening applied to the `G` stages (default: none).
     pub hardening: Hardening,
     /// Optional wall-clock deadline for the `G` stages, checked at the
-    /// amortized [`CHECK_STRIDE`]; expiry yields
+    /// amortized `CHECK_STRIDE`; expiry yields
     /// [`QbdError::DeadlineExceeded`]. `None` (the default) disables
     /// the check.
     pub deadline: Option<Instant>,
@@ -563,7 +511,10 @@ impl Qbd {
                 at[(j, i)] = if j == n - 1 { 1.0 } else { a[(i, j)] };
             }
         }
-        let mut phi = Lu::factor(&at)?.solve_vec(&Vector::basis(n, n - 1))?;
+        let mut lu = LuWorkspace::new(n);
+        lu.factor(&at)?;
+        let mut phi = Vector::zeros(n);
+        lu.solve_vec_into(&Vector::basis(n, n - 1), &mut phi)?;
         phi.normalize_sum_compensated();
         Ok(phi)
     }
@@ -598,7 +549,7 @@ impl Qbd {
     /// on an unstable chain would silently converge to a wrong `G`, so
     /// the gate turns it into a typed error instead.
     fn shift_gate(&self, hardening: Hardening) -> Result<()> {
-        if !hardening.shift {
+        if !hardening.full {
             return Ok(());
         }
         let (up, down) = self.drift()?;
@@ -634,10 +585,9 @@ impl Qbd {
     /// * [`GStrategy::LogarithmicReduction`] — quadratically convergent;
     ///   see [`Qbd::g_matrix`].
     /// * [`GStrategy::NeutsSubstitution`] — `G ← (−(A1 + A0·G))⁻¹·A2`
-    ///   from `G = 0`, linearly convergent and monotone. It honors
-    ///   equilibration but not the spectral shift (see
-    ///   [`Hardening::shift`]); with `shift` set it still enforces the
-    ///   recurrence gate.
+    ///   from `G = 0`, linearly convergent and monotone. Hardened,
+    ///   it equilibrates but does not shift (see [`Hardening`]); it
+    ///   still enforces the recurrence gate.
     /// * [`GStrategy::FunctionalIteration`] — `G ← (−A1)⁻¹(A2 + A0·G²)`,
     ///   linearly convergent; the baseline of the solver ablation.
     ///
@@ -668,7 +618,7 @@ impl Qbd {
     /// wall-clock deadline, fault-injection hooks (stage key `"logred"`)
     /// and [`Hardening`] mitigations.
     ///
-    /// With `hardening.shift` the recursion runs on the deflated blocks
+    /// Hardened, the recursion runs on the deflated blocks
     /// `(A0, Ã1, Ã2)` and converges to `Ĝ = G − εuᵀ`; the shift is
     /// undone before returning. Near null recurrence this restores the
     /// quadratic convergence the unshifted recursion loses (`‖T‖` then
@@ -702,7 +652,7 @@ impl Qbd {
                 gemm(1.0, &ws.k2, &ws.k1, 1.0, &mut ws.t1);
                 ws.t1.scale_mut(-1.0);
                 ws.t1.add_scaled_identity(1.0);
-                ws.lu.factor_with(&ws.t1, hardening.inner_factor())?;
+                hardening.factor(&mut ws.lu, &ws.t1)?;
                 // H ← (I−U)⁻¹·H², L ← (I−U)⁻¹·L².
                 gemm(1.0, &ws.k1, &ws.k1, 0.0, &mut ws.t2);
                 ws.lu.solve_mat_into(&ws.t2, &mut ws.k1)?;
@@ -731,7 +681,7 @@ impl Qbd {
                         && (ws.x2.norm_inf() < tolerance || add_norm < tolerance)
                     {
                         let mut g = ws.x1.clone();
-                        if hardening.shift {
+                        if hardening.full {
                             undo_shift(&mut g, um);
                         }
                         return Ok((g, it + 1));
@@ -750,31 +700,26 @@ impl Qbd {
     /// factors `−Ã1` into the workspace LU and leaves
     /// `k1 = (−Ã1)⁻¹·A0` (up) and `k2 = (−Ã1)⁻¹·Ã2` (down). Under the
     /// spectral shift `Ã1 = A1 + (A0ε)uᵀ` and `Ã2 = A2 − (A2ε)uᵀ`
-    /// (`u = ε/m`, `um = 1/m`); unshifted they are `A1` and `A2`.
+    /// (`u = ε/m`, `um = 1/m`) when hardened; otherwise they are `A1`
+    /// and `A2`.
     fn shifted_setup(&self, ws: &mut Workspace, hardening: Hardening, um: f64) -> Result<()> {
         ws.t1.copy_from(&self.a1);
         ws.t1.scale_mut(-1.0);
-        if hardening.shift {
-            performa_obs::counter_add("qbd.shift_applied", 1);
-            subtract_rank_one_rowsum(&mut ws.t1, &self.a0.row_sums(), um);
-        }
-        ws.lu.factor_with(&ws.t1, hardening.setup_factor())?;
-        let down_block = if hardening.shift {
-            // Ã2 staged in t2 (free until the iteration starts).
-            ws.t2.copy_from(&self.a2);
-            subtract_rank_one_rowsum(&mut ws.t2, &self.a2.row_sums(), um);
-            &ws.t2
-        } else {
-            &self.a2
-        };
-        if hardening.refine {
-            let s1 = ws.lu.solve_mat_refined_into(&self.a0, &mut ws.k1)?;
-            let s2 = ws.lu.solve_mat_refined_into(down_block, &mut ws.k2)?;
-            performa_obs::counter_add("qbd.refine_iters", (s1.iterations + s2.iterations) as u64);
-        } else {
+        if !hardening.full {
+            ws.lu.factor(&ws.t1)?;
             ws.lu.solve_mat_into(&self.a0, &mut ws.k1)?;
-            ws.lu.solve_mat_into(down_block, &mut ws.k2)?;
+            ws.lu.solve_mat_into(&self.a2, &mut ws.k2)?;
+            return Ok(());
         }
+        performa_obs::counter_add("qbd.shift_applied", 1);
+        subtract_rank_one_rowsum(&mut ws.t1, &self.a0.row_sums(), um);
+        ws.lu.factor_hardened(&ws.t1)?;
+        // Ã2 staged in t2 (free until the iteration starts).
+        ws.t2.copy_from(&self.a2);
+        subtract_rank_one_rowsum(&mut ws.t2, &self.a2.row_sums(), um);
+        let s1 = ws.lu.solve_mat_refined_into(&self.a0, &mut ws.k1)?;
+        let s2 = ws.lu.solve_mat_refined_into(&ws.t2, &mut ws.k2)?;
+        performa_obs::counter_add("qbd.refine_iters", (s1.iterations + s2.iterations) as u64);
         Ok(())
     }
 
@@ -824,7 +769,7 @@ impl Qbd {
                     std::mem::swap(&mut ws.x1, &mut ws.t2);
                     if converged {
                         let mut g = ws.x1.clone();
-                        if hardening.shift {
+                        if hardening.full {
                             undo_shift(&mut g, um);
                         }
                         return Ok((g, it + 1));
@@ -842,8 +787,8 @@ impl Qbd {
     }
 
     /// Counted Neuts substitution with watchdogs (stage key `"neuts"`);
-    /// see [`Qbd::g_logred_counted`]. Hardening applies equilibration to
-    /// the per-iteration factorizations; the shift flag only gates.
+    /// see [`Qbd::g_logred_counted`]. Hardened, the per-iteration
+    /// factorizations are equilibrated and the shift only gates.
     fn g_neuts_counted(
         &self,
         tolerance: f64,
@@ -866,7 +811,7 @@ impl Qbd {
                 ws.t1.copy_from(&self.a1);
                 gemm(1.0, &self.a0, &ws.x1, 1.0, &mut ws.t1);
                 ws.t1.scale_mut(-1.0);
-                ws.lu.factor_with(&ws.t1, hardening.inner_factor())?;
+                hardening.factor(&mut ws.lu, &ws.t1)?;
                 ws.lu.solve_mat_into(&self.a2, &mut ws.t2)?;
                 fault::poison("neuts", it, &mut ws.t2);
                 if checking {
@@ -910,9 +855,8 @@ impl Qbd {
     /// `R` plus the 1-norm condition estimate of the factored system
     /// `−(A1 + A0·G)` — the supervisor surfaces the estimate as an
     /// `IllConditioned` warning when it is large. This is a one-shot
-    /// solve, so `hardening.refine` buys a componentwise-certified `R`
-    /// at negligible cost; the shift flag is meaningless here and
-    /// ignored.
+    /// solve, so hardening's refinement buys a componentwise-certified
+    /// `R` at negligible cost; the shift has no meaning here.
     pub(crate) fn r_from_g_with_cond(
         &self,
         g: &Matrix,
@@ -924,11 +868,11 @@ impl Qbd {
             ws.t1.copy_from(&self.a1);
             gemm(1.0, &self.a0, g, 1.0, &mut ws.t1);
             ws.t1.scale_mut(-1.0);
-            ws.lu.factor_with(&ws.t1, hardening.setup_factor())?;
+            hardening.factor(&mut ws.lu, &ws.t1)?;
             let cond = ws.lu.condition_estimate();
             // R = A0·(−U)⁻¹ ⇔ solve X·(−U) = A0.
             let mut r = Matrix::zeros(m, m);
-            if hardening.refine {
+            if hardening.full {
                 let stats = ws.lu.solve_left_mat_refined_into(&self.a0, &mut r)?;
                 performa_obs::counter_add("qbd.refine_iters", stats.iterations as u64);
             } else {
@@ -1014,8 +958,8 @@ impl Qbd {
     /// The boundary system inherits the generator's full dynamic range
     /// (TPT stage rates span `p^T`), so it is the single most
     /// ill-conditioned solve in the pipeline; `hardening` applies
-    /// equilibration and iterative refinement to it (the shift flag has
-    /// no meaning here and is ignored).
+    /// equilibration and iterative refinement to it (the shift has no
+    /// meaning here).
     pub(crate) fn boundary_from_gr(
         &self,
         g: Matrix,
@@ -1054,12 +998,12 @@ impl Qbd {
         // The 2m system runs once per solve, outside the workspace arena
         // (which is keyed to m); a dedicated factorization is fine here.
         let mut lu_sys = LuWorkspace::new(dim);
-        lu_sys.factor_with(&sys, hardening.setup_factor())?;
+        hardening.factor(&mut lu_sys, &sys)?;
         let cond = lu_sys.condition_estimate();
         let mut rhs = Matrix::zeros(1, dim);
         rhs[(0, dim - 1)] = 1.0;
         let mut x = Matrix::zeros(1, dim);
-        if hardening.refine {
+        if hardening.full {
             let stats = lu_sys.solve_left_mat_refined_into(&rhs, &mut x)?;
             performa_obs::counter_add("qbd.refine_iters", stats.iterations as u64);
         } else {
@@ -1425,5 +1369,22 @@ mod tests {
         let sol = qbd.solve().unwrap();
         let total: f64 = (0..500).map(|n| sol.level_probability(n)).sum();
         assert!((total + sol.tail_probability(499) - 1.0).abs() < 1e-10);
+    }
+
+    #[test]
+    fn hardening_spelling_round_trips_and_rejects_flag_lists() {
+        for h in [Hardening::default(), Hardening::full()] {
+            assert_eq!(h.to_string().parse::<Hardening>().unwrap(), h);
+        }
+        assert_eq!(" FULL ".parse::<Hardening>().unwrap(), Hardening::full());
+        for bad in ["shift+refine", "equilibrate", "all", ""] {
+            assert!(
+                matches!(
+                    bad.parse::<Hardening>(),
+                    Err(QbdError::InvalidParameter { .. })
+                ),
+                "{bad:?} parsed"
+            );
+        }
     }
 }

@@ -1,4 +1,4 @@
-use performa_linalg::{lu::Lu, spectral, Matrix, Vector};
+use performa_linalg::{lu::LuWorkspace, spectral, Matrix, Vector};
 
 use crate::{QbdError, Result};
 
@@ -31,10 +31,12 @@ pub struct QbdSolution {
 /// # Errors
 ///
 /// Propagates the factorization failure.
-pub(crate) fn geometric_eps(r: &Matrix) -> Result<(Lu, Vector)> {
+pub(crate) fn geometric_eps(r: &Matrix) -> Result<(LuWorkspace, Vector)> {
     let m = r.nrows();
-    let lu = Lu::factor(&(Matrix::identity(m) - r))?;
-    let geo_eps = lu.solve_vec(&Vector::ones(m))?;
+    let mut lu = LuWorkspace::new(m);
+    lu.factor(&(Matrix::identity(m) - r))?;
+    let mut geo_eps = Vector::zeros(m);
+    lu.solve_vec_into(&Vector::ones(m), &mut geo_eps)?;
     Ok((lu, geo_eps))
 }
 
@@ -75,14 +77,16 @@ impl QbdSolution {
         pi1: Vector,
         r: Matrix,
         g: Matrix,
-        lu: &Lu,
+        lu: &LuWorkspace,
         geo_eps: Vector,
     ) -> Result<Self> {
         if let Some(&entry) = geo_eps.iter().find(|v| !(v.is_finite() && **v >= 0.0)) {
             return Err(QbdError::InvalidRateMatrix { entry });
         }
-        let geo2_eps = lu.solve_vec(&geo_eps)?;
-        let geo3_eps = lu.solve_vec(&geo2_eps)?;
+        let m = geo_eps.len();
+        let (mut geo2_eps, mut geo3_eps) = (Vector::zeros(m), Vector::zeros(m));
+        lu.solve_vec_into(&geo_eps, &mut geo2_eps)?;
+        lu.solve_vec_into(&geo2_eps, &mut geo3_eps)?;
         Ok(QbdSolution {
             pi0,
             pi1,
@@ -204,10 +208,11 @@ impl QbdSolution {
     /// stationary law `φ`, a useful internal consistency check.
     pub fn marginal_phase(&self) -> Vector {
         let m = self.phase_dim();
-        let i_minus_r = Matrix::identity(m) - &self.r;
-        let lu = Lu::factor(&i_minus_r).expect("I−R invertible for a stable chain");
-        let geo = lu
-            .solve_left_vec(&self.pi1)
+        let mut lu = LuWorkspace::new(m);
+        lu.factor(&(Matrix::identity(m) - &self.r))
+            .expect("I−R invertible for a stable chain");
+        let mut geo = Vector::zeros(m);
+        lu.solve_left_vec_into(&self.pi1, &mut geo)
             .expect("dimension fixed at construction");
         &self.pi0 + &geo
     }

@@ -80,7 +80,8 @@ impl GStrategy {
 
 impl fmt::Display for GStrategy {
     /// Displays the machine-readable key (round-trips through
-    /// [`FromStr`]); use [`GStrategy::name`] for human-facing text.
+    /// [`FromStr`](std::str::FromStr)); use [`GStrategy::name`] for
+    /// human-facing text.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.key())
     }
@@ -526,7 +527,7 @@ pub struct StageAttempt {
     pub tolerance: f64,
     /// Iterations spent.
     pub iterations: usize,
-    /// Whether the attempt ran with any [`Hardening`] mitigation.
+    /// Whether the attempt ran with [`Hardening::full`].
     pub hardened: bool,
     /// Whether the attempt produced the accepted `G`.
     pub converged: bool,
@@ -735,13 +736,13 @@ pub(crate) fn supervise(
                         ("strategy", stage.strategy.key().into()),
                         ("tolerance", tol.into()),
                         ("relaxation", level.into()),
-                        ("hardened", hardening.any().into()),
+                        ("hardened", hardening.is_full().into()),
                     ],
                 );
                 // Arm the flight recorder for this attempt: if the stage
                 // trips a watchdog or falls back, the last K iteration
                 // records are dumped as qbd.flight events.
-                performa_obs::flight::begin(stage.strategy.key(), hardening.any());
+                performa_obs::flight::begin(stage.strategy.key(), hardening.is_full());
                 // Logs the attempt; a failure is also a warning.
                 let mut record = |warnings: &mut Vec<SolveWarning>, iterations, outcome| {
                     if let StageOutcome::Failed(reason) = &outcome {
@@ -753,7 +754,7 @@ pub(crate) fn supervise(
                         strategy: stage.strategy,
                         tolerance: tol,
                         iterations,
-                        hardened: hardening.any(),
+                        hardened: hardening.is_full(),
                         converged: outcome == StageOutcome::Converged,
                         outcome,
                     });
@@ -819,7 +820,7 @@ pub(crate) fn supervise(
                         record(&mut warnings, iterations, StageOutcome::Failed(reason));
                         // Hardening escalates only after a breakdown.
                         if matches!(e, QbdError::NumericalBreakdown { .. })
-                            && hardening != Hardening::full()
+                            && !hardening.is_full()
                         {
                             hardening = Hardening::full();
                             warn(

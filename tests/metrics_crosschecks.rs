@@ -4,6 +4,7 @@
 
 use performa::core::{sensitivity, ClusterModel};
 use performa::dist::{Exponential, TruncatedPowerTail};
+use performa::markov::MarkovError;
 use performa::sim::{ExactModelConfig, ExactModelSim, StopCriterion};
 
 fn model(rho: f64) -> ClusterModel {
@@ -82,6 +83,36 @@ fn service_process_is_overdispersed() {
         .unwrap();
     let idc_heavy = heavy.service_process().unwrap().asymptotic_idc().unwrap();
     assert!(idc_heavy > 5.0 * idc, "heavy {idc_heavy} vs light {idc}");
+}
+
+#[test]
+fn service_idc_refuses_a_lost_result() {
+    // At TPT T=32 the repair rates span θ³² and the IDC solve loses every
+    // digit: it used to return about −2.6e15, which no Cox process can
+    // have. The result must be a typed error instead; T=16 stays a
+    // (large) finite IDC ≥ 1.
+    let tpt = |t: u32| {
+        ClusterModel::builder()
+            .servers(2)
+            .peak_rate(2.0)
+            .degradation(0.2)
+            .up(Exponential::with_mean(90.0).unwrap())
+            .down(TruncatedPowerTail::with_mean(t, 1.4, 0.2, 10.0).unwrap())
+            .utilization(0.7)
+            .build()
+            .unwrap()
+    };
+    let idc16 = tpt(16).service_process().unwrap().asymptotic_idc().unwrap();
+    assert!(idc16.is_finite() && idc16 > 1.0, "T=16 IDC {idc16}");
+    match tpt(32).service_process().unwrap().asymptotic_idc() {
+        Err(MarkovError::Inaccurate { value, .. }) => {
+            assert!(
+                !value.is_finite() || value < 1.0,
+                "rejected a valid IDC {value}"
+            )
+        }
+        other => panic!("T=32 IDC must be refused, got {other:?}"),
+    }
 }
 
 #[test]

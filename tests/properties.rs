@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use performa::dist::{
     fit, DistributionFn, Erlang, Exponential, HyperExponential, Moments, TruncatedPowerTail,
 };
-use performa::linalg::{lu::Lu, Matrix, Vector};
+use performa::linalg::{lu::LuWorkspace, Matrix, Vector};
 use performa::markov::{aggregate, transient::Uniformized, ServerModel};
 use performa::qbd::{FiniteQbd, Qbd};
 
@@ -37,7 +37,10 @@ proptest! {
         let a = dominant_matrix(n, &seed);
         let x_true = Vector::from(xs[..n].to_vec());
         let b = a.mul_vec(&x_true);
-        let x = Lu::factor(&a).unwrap().solve_vec(&b).unwrap();
+        let mut lu = LuWorkspace::new(n);
+        lu.factor(&a).unwrap();
+        let mut x = Vector::zeros(n);
+        lu.solve_vec_into(&b, &mut x).unwrap();
         prop_assert!(x.max_abs_diff(&x_true) < 1e-8);
     }
 
@@ -50,7 +53,10 @@ proptest! {
         let a = dominant_matrix(n, &seed);
         let x_true = Vector::from(xs[..n].to_vec());
         let b = a.vec_mul(&x_true);
-        let x = Lu::factor(&a).unwrap().solve_left_vec(&b).unwrap();
+        let mut lu = LuWorkspace::new(n);
+        lu.factor(&a).unwrap();
+        let mut x = Vector::zeros(n);
+        lu.solve_left_vec_into(&b, &mut x).unwrap();
         prop_assert!(x.max_abs_diff(&x_true) < 1e-8);
     }
 
